@@ -87,6 +87,16 @@ func main() {
 	snapshotSeed := flag.Uint64("snapshot-seed", 1, "workload seed for -snapshot-out / -resume-from")
 	flag.Parse()
 
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"crash-points", *crashPoints}, {"parallel", *parallel}} {
+		if f.v < 1 {
+			fmt.Fprintf(os.Stderr, "prosper-experiments: -%s must be >= 1, got %d\n", f.name, f.v)
+			os.Exit(2)
+		}
+	}
+
 	if *crashSweep {
 		os.Exit(runCrashSweep(*crashPoints, *crashSeed, *parallel))
 	}

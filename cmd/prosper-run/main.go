@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prosper/internal/kernel"
@@ -81,29 +82,66 @@ func workloadByName(name string, arg int) workload.Program {
 }
 
 func main() {
-	wl := flag.String("workload", "gapbs_pr", "workload name")
-	wlArg := flag.Int("arg", 4096, "workload parameter (elements/depth/iterations)")
-	stack := flag.String("stack", "prosper", "stack mechanism: none|prosper|prosper-adaptive|dirtybit|writeprotect|romulus|ssp")
-	heap := flag.String("heap", "none", "heap mechanism (same choices)")
-	cons := flag.Int("consolidation", 10, "SSP consolidation interval (µs)")
-	intervalUS := flag.Int("interval", 200, "checkpoint interval (simulated µs; 0 disables)")
-	durationUS := flag.Int("duration", 2000, "run duration (simulated µs)")
-	threads := flag.Int("threads", 1, "threads (one workload instance each)")
-	cores := flag.Int("cores", 1, "simulated cores")
-	seed := flag.Uint64("seed", 1, "workload seed")
-	parallel := flag.Bool("parallel-ckpt", false, "checkpoint thread stacks concurrently")
-	dumpStats := flag.Bool("stats", false, "dump all simulator counters at the end")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the workload, and returns the exit status: 0 on
+// a clean run, 1 if fsck finds problems, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("prosper-run", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	wl := fs.String("workload", "gapbs_pr", "workload name")
+	wlArg := fs.Int("arg", 4096, "workload parameter (elements/depth/iterations)")
+	stack := fs.String("stack", "prosper", "stack mechanism: none|prosper|prosper-adaptive|dirtybit|writeprotect|romulus|ssp")
+	heap := fs.String("heap", "none", "heap mechanism (same choices)")
+	cons := fs.Int("consolidation", 10, "SSP consolidation interval (µs)")
+	intervalUS := fs.Int("interval", 200, "checkpoint interval (simulated µs; 0 disables)")
+	durationUS := fs.Int("duration", 2000, "run duration (simulated µs)")
+	threads := fs.Int("threads", 1, "threads (one workload instance each)")
+	cores := fs.Int("cores", 1, "simulated cores")
+	seed := fs.Uint64("seed", 1, "workload seed")
+	parallel := fs.Bool("parallel-ckpt", false, "checkpoint thread stacks concurrently")
+	dumpStats := fs.Bool("stats", false, "dump all simulator counters at the end")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "prosper-run: "+format+"\n", a...)
+		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected argument %q", fs.Arg(0))
+	case *wlArg < 0:
+		return usage("-arg must be >= 0, got %d", *wlArg)
+	case *cons < 0:
+		return usage("-consolidation must be >= 0, got %d", *cons)
+	case *intervalUS < 0:
+		return usage("-interval must be >= 0 (0 disables), got %d", *intervalUS)
+	case *durationUS < 1:
+		return usage("-duration must be >= 1, got %d", *durationUS)
+	case *threads < 1:
+		return usage("-threads must be >= 1, got %d", *threads)
+	case *cores < 1:
+		return usage("-cores must be >= 1, got %d", *cores)
+	}
 
 	stackF, ok := mechFactory(*stack, *cons)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown stack mechanism %q\n", *stack)
-		os.Exit(2)
+		return usage("unknown stack mechanism %q", *stack)
 	}
 	heapF, ok := mechFactory(*heap, *cons)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown heap mechanism %q\n", *heap)
-		os.Exit(2)
+		return usage("unknown heap mechanism %q", *heap)
+	}
+	progs := make([]workload.Program, *threads)
+	for i := range progs {
+		progs[i] = workloadByName(*wl, *wlArg)
+		if progs[i] == nil {
+			return usage("unknown workload %q", *wl)
+		}
 	}
 
 	k := kernel.New(kernel.Config{
@@ -111,14 +149,6 @@ func main() {
 		Quantum:                 100 * sim.Microsecond,
 		ParallelStackCheckpoint: *parallel,
 	})
-	progs := make([]workload.Program, *threads)
-	for i := range progs {
-		progs[i] = workloadByName(*wl, *wlArg)
-		if progs[i] == nil {
-			fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-			os.Exit(2)
-		}
-	}
 	p := k.Spawn(kernel.ProcessConfig{
 		Name:               *wl,
 		StackMech:          stackF,
@@ -131,28 +161,29 @@ func main() {
 	k.RunFor(sim.Time(*durationUS) * sim.Microsecond)
 	p.Shutdown()
 
-	fmt.Printf("workload           %s x%d (stack=%s heap=%s)\n", *wl, *threads, *stack, *heap)
-	fmt.Printf("simulated          %d µs (%d cycles, %d events)\n",
+	fmt.Fprintf(stdout, "workload           %s x%d (stack=%s heap=%s)\n", *wl, *threads, *stack, *heap)
+	fmt.Fprintf(stdout, "simulated          %d µs (%d cycles, %d events)\n",
 		*durationUS, k.Eng.Now(), k.Eng.Fired())
 	var ops, cycles uint64
 	for _, t := range p.Threads {
 		ops += t.UserOps
 		cycles += t.UserCycles
 	}
-	fmt.Printf("user ops           %d (IPC %.4f)\n", ops, float64(ops)/float64(cycles+1))
-	fmt.Printf("checkpoints        %d\n", p.CheckpointCount)
-	fmt.Printf("persisted bytes    %d (stack %d)\n", p.CheckpointBytes, p.StackCkptBytes)
+	fmt.Fprintf(stdout, "user ops           %d (IPC %.4f)\n", ops, float64(ops)/float64(cycles+1))
+	fmt.Fprintf(stdout, "checkpoints        %d\n", p.CheckpointCount)
+	fmt.Fprintf(stdout, "persisted bytes    %d (stack %d)\n", p.CheckpointBytes, p.StackCkptBytes)
 	if p.CheckpointCount > 0 {
-		fmt.Printf("mean ckpt cycles   %d\n", uint64(p.CheckpointTime)/p.CheckpointCount)
+		fmt.Fprintf(stdout, "mean ckpt cycles   %d\n", uint64(p.CheckpointTime)/p.CheckpointCount)
 	}
 	if rep := kernel.Fsck(k.Mach.Storage); !rep.OK() {
-		fmt.Println("FSCK PROBLEMS:", rep.Problems)
-		os.Exit(1)
+		fmt.Fprintln(stdout, "FSCK PROBLEMS:", rep.Problems)
+		return 1
 	}
-	fmt.Println("fsck               clean")
+	fmt.Fprintln(stdout, "fsck               clean")
 
 	if *dumpStats {
-		fmt.Println()
-		k.DumpStats(os.Stdout)
+		fmt.Fprintln(stdout)
+		k.DumpStats(stdout)
 	}
+	return 0
 }

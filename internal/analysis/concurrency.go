@@ -15,8 +15,9 @@ import (
 // best, introduces scheduler-dependent ordering.
 //
 // The workload package's pull-based generators are the known exception:
-// a producer goroutine synchronized through an unbuffered channel is
-// deterministic by construction, and its sites carry reasoned ignore
+// a producer goroutine hands op batches over an unbuffered channel, and
+// since a generator body reads no simulator state, how far it runs ahead
+// cannot change the op stream. Its sites carry reasoned ignore
 // directives rather than a blanket exemption.
 type Concurrency struct{}
 

@@ -8,8 +8,12 @@
 // Programs are pull-based op generators: the kernel (or the trace
 // capturer) repeatedly calls Next and executes the returned operation.
 // Generators are written as ordinary Go code — including real recursion
-// for Quicksort — running in a producer goroutine synchronized through an
-// unbuffered channel, which keeps them deterministic.
+// for Quicksort — running in a producer goroutine that fills fixed
+// batches of ops and hands each whole batch to the consumer over an
+// unbuffered channel. The producer may run up to two batches ahead of
+// the consumer; that cannot change the stream, because a generator body
+// reads only its static Context and its private RNG, never simulator
+// state.
 package workload
 
 import "prosper/internal/sim"
@@ -71,15 +75,26 @@ type stoppedErr struct{}
 
 func (stoppedErr) Error() string { return "workload: generator stopped" }
 
+// batchOps is the number of ops the producer hands over per channel
+// send. Larger batches amortize the handoff further but grow the live
+// heap of every running program.
+const batchOps = 64
+
 // G is the helper state passed to generator bodies: it tracks the stack
 // pointer, owns the deterministic RNG, and provides emit primitives.
 type G struct {
 	Ctx Context
 	Rng *sim.Rand
 
-	sp      uint64
-	ops     chan Op       //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-	stop    chan struct{} //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
+	sp uint64
+	// bufs are the two batch buffers; the body appends to bufs[fill]
+	// while the consumer reads the other one. A send on the unbuffered
+	// ops channel completes only once the consumer has drained the
+	// previous batch, so after each send the other buffer is free.
+	bufs    [2][]Op
+	fill    int
+	ops     chan []Op     //prosperlint:ignore concurrency batch handoff: the body reads no simulator state, so running ahead cannot change the op stream
+	stop    chan struct{} //prosperlint:ignore concurrency stop signal: closed exactly once by Close to unwind the producer
 	stopped bool
 }
 
@@ -88,11 +103,26 @@ func (g *G) SP() uint64 { return g.sp }
 
 func (g *G) send(op Op) {
 	op.SP = g.sp
-	select { //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-	case g.ops <- op: //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
+	g.bufs[g.fill] = append(g.bufs[g.fill], op)
+	if len(g.bufs[g.fill]) == batchOps {
+		g.flush()
+	}
+}
+
+// flush hands the batch being filled to the consumer and switches to the
+// other buffer.
+func (g *G) flush() {
+	b := g.bufs[g.fill]
+	if len(b) == 0 {
+		return
+	}
+	select { //prosperlint:ignore concurrency batch handoff: the body reads no simulator state, so running ahead cannot change the op stream
+	case g.ops <- b: //prosperlint:ignore concurrency batch handoff: the body reads no simulator state, so running ahead cannot change the op stream
 	case <-g.stop: //prosperlint:ignore concurrency stop is closed exactly once by Close; the panic unwinds the producer deterministically
 		panic(stoppedErr{})
 	}
+	g.fill ^= 1
+	g.bufs[g.fill] = g.bufs[g.fill][:0]
 }
 
 // Compute advances simulated time.
@@ -138,6 +168,8 @@ type genProgram struct {
 	name string
 	body func(*G)
 	g    *G
+	cur  []Op // batch being consumed
+	next int  // index of the next op in cur
 	done bool
 }
 
@@ -158,11 +190,12 @@ func (p *genProgram) Start(ctx Context) {
 		Ctx:  ctx,
 		Rng:  sim.NewRand(ctx.Seed),
 		sp:   ctx.StackHi,
-		ops:  make(chan Op),       //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-		stop: make(chan struct{}), //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
+		bufs: [2][]Op{make([]Op, 0, batchOps), make([]Op, 0, batchOps)},
+		ops:  make(chan []Op),     //prosperlint:ignore concurrency batch handoff: the body reads no simulator state, so running ahead cannot change the op stream
+		stop: make(chan struct{}), //prosperlint:ignore concurrency stop signal: closed exactly once by Close to unwind the producer
 	}
 	p.g = g
-	go func() { //prosperlint:ignore concurrency one producer goroutine per program, lockstep with its consumer; no shared sim state
+	go func() { //prosperlint:ignore concurrency one producer goroutine per program; it reads no simulator state, so its schedule cannot change the op stream
 		defer func() {
 			if r := recover(); r != nil {
 				if _, ok := r.(stoppedErr); !ok {
@@ -172,18 +205,24 @@ func (p *genProgram) Start(ctx Context) {
 			close(g.ops) //prosperlint:ignore concurrency close signals end-of-ops to the single consumer
 		}()
 		p.body(g)
+		g.flush()
 	}()
 }
 
 func (p *genProgram) Next() Op {
-	if p.done {
-		return Op{Kind: End}
+	if p.next == len(p.cur) {
+		if p.done {
+			return Op{Kind: End}
+		}
+		b, ok := <-p.g.ops //prosperlint:ignore concurrency batch handoff: the body reads no simulator state, so running ahead cannot change the op stream
+		if !ok {
+			p.finish()
+			return Op{Kind: End}
+		}
+		p.cur, p.next = b, 0
 	}
-	op, ok := <-p.g.ops //prosperlint:ignore concurrency unbuffered handoff: the producer only runs while the consumer blocks, so op order is deterministic
-	if !ok {
-		p.done = true
-		return Op{Kind: End}
-	}
+	op := p.cur[p.next]
+	p.next++
 	return op
 }
 
@@ -196,5 +235,13 @@ func (p *genProgram) Close() {
 	// Drain until the producer exits so its goroutine is collected.
 	for range p.g.ops { //prosperlint:ignore concurrency drain after stop: values are discarded, order is irrelevant
 	}
+	p.finish()
+}
+
+// finish marks the stream ended and drops both batch buffers. It runs
+// only after ops is closed, when the producer touches g no more.
+func (p *genProgram) finish() {
 	p.done = true
+	p.cur, p.next = nil, 0
+	p.g.bufs = [2][]Op{}
 }
