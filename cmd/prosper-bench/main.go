@@ -99,12 +99,11 @@ type throughputStats struct {
 // dispatched events. EventCounts (keyed by sim.Component name) is on the
 // deterministic side of the contract: byte-identical across runs and
 // -parallel values, summing exactly to host_throughput.events_fired.
-// WallSharePct spreads batched host time over components and varies run
-// to run.
+// Reports written before host time was dropped from this section also
+// carry a wall_share_pct map; decoding ignores it.
 type attributionStats struct {
-	Note         string             `json:"note"`
-	EventCounts  map[string]uint64  `json:"event_counts"`
-	WallSharePct map[string]float64 `json:"wall_share_pct"`
+	Note        string            `json:"note"`
+	EventCounts map[string]uint64 `json:"event_counts"`
 }
 
 type hostStats struct {
@@ -236,32 +235,20 @@ func runSuite(quick bool, workers int) report {
 	}
 	var simCycles, eventsFired uint64
 	var counts [sim.NumComponents]uint64
-	var nanos [sim.NumComponents]int64
 	for i, sp := range specs {
 		rep.Deterministic[sp.DisplayLabel()] = metrics(res[i])
 		simCycles += uint64(res[i].SimEnd)
 		eventsFired += res[i].EventsFired
 		for c := range counts {
 			counts[c] += res[i].EventCounts[c]
-			nanos[c] += res[i].EventNanos[c]
 		}
 	}
 	rep.Attribution = attributionStats{
-		Note:         "event_counts is deterministic (sums to events_fired, exact-checked by -compare); wall_share_pct varies run to run",
-		EventCounts:  map[string]uint64{},
-		WallSharePct: map[string]float64{},
-	}
-	var totalNanos int64
-	for _, n := range nanos {
-		totalNanos += n
+		Note:        "event_counts is deterministic (sums to events_fired, exact-checked by -compare)",
+		EventCounts: map[string]uint64{},
 	}
 	for _, c := range sim.Components() {
 		rep.Attribution.EventCounts[c.String()] = counts[c]
-		share := 0.0
-		if totalNanos > 0 {
-			share = round2(100 * float64(nanos[c]) / float64(totalNanos))
-		}
-		rep.Attribution.WallSharePct[c.String()] = share
 	}
 	rep.Throughput = throughputStats{
 		Note:        "allocation rates per simulated megacycle are ratcheted by -compare; kcycles_per_sec is informational",

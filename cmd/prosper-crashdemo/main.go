@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"prosper/internal/kernel"
@@ -21,11 +22,42 @@ import (
 )
 
 func main() {
-	iterations := flag.Int("iterations", 200_000, "counter iterations the workload must complete")
-	intervalUS := flag.Int("interval", 200, "checkpoint interval in simulated microseconds")
-	crashAfterUS := flag.Int("crash-after", 1500, "simulated microseconds before the power failure")
-	dumpStats := flag.Bool("stats", false, "dump all simulator counters (gem5 stats.txt style) at the end")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the crash-and-recover demo, and returns the exit
+// status: 0 when the process resumes and completes, 1 when the demo
+// fails, 2 on a bad flag.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("prosper-crashdemo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	iterations := fs.Int("iterations", 200_000, "counter iterations the workload must complete")
+	intervalUS := fs.Int("interval", 200, "checkpoint interval in simulated microseconds")
+	crashAfterUS := fs.Int("crash-after", 1500, "simulated microseconds before the power failure")
+	dumpStats := fs.Bool("stats", false, "dump all simulator counters (gem5 stats.txt style) at the end")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "prosper-crashdemo: "+format+"\n", a...)
+		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected argument %q", fs.Arg(0))
+	case *iterations < 1:
+		return usage("-iterations must be >= 1, got %d", *iterations)
+	case *intervalUS < 1:
+		return usage("-interval must be >= 1, got %d", *intervalUS)
+	case *crashAfterUS < 1:
+		return usage("-crash-after must be >= 1, got %d", *crashAfterUS)
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		return 1
+	}
 
 	cfg := kernel.ProcessConfig{
 		Name:               "demo-service",
@@ -33,47 +65,44 @@ func main() {
 		CheckpointInterval: sim.Time(*intervalUS) * sim.Microsecond,
 	}
 
-	fmt.Println("=== boot 1: running with periodic Prosper checkpoints ===")
+	fmt.Fprintln(stdout, "=== boot 1: running with periodic Prosper checkpoints ===")
 	k1 := kernel.New(kernel.Config{Machine: machine.Config{Cores: 1}})
 	prog1 := workload.NewCounter(*iterations)
 	p1 := k1.Spawn(cfg, prog1)
 	k1.RunFor(sim.Time(*crashAfterUS) * sim.Microsecond)
 
-	fmt.Printf("progress at crash: %d/%d iterations, %d checkpoints committed (%d bytes)\n",
+	fmt.Fprintf(stdout, "progress at crash: %d/%d iterations, %d checkpoints committed (%d bytes)\n",
 		prog1.Progress(), *iterations, p1.CheckpointCount, p1.CheckpointBytes)
 	if p1.CheckpointCount == 0 {
-		fmt.Fprintln(os.Stderr, "no checkpoint committed before the crash; increase -crash-after")
-		os.Exit(1)
+		return fail("no checkpoint committed before the crash; increase -crash-after")
 	}
 
-	fmt.Println("\n=== POWER FAILURE: dropping DRAM and caches ===")
+	fmt.Fprintln(stdout, "\n=== POWER FAILURE: dropping DRAM and caches ===")
 	k1.Mach.Crash()
 
-	fmt.Println("\n=== boot 2: recovering from NVM ===")
+	fmt.Fprintln(stdout, "\n=== boot 2: recovering from NVM ===")
 	k2 := kernel.New(kernel.Config{Machine: machine.Config{Cores: 1, Storage: k1.Mach.Storage}})
 	prog2 := workload.NewCounter(*iterations)
 	var recovered *kernel.Process
 	if err := k2.RecoverProcess(cfg, []workload.Program{prog2}, func(p *kernel.Process) { recovered = p }); err != nil {
-		fmt.Fprintln(os.Stderr, "recovery failed:", err)
-		os.Exit(1)
+		return fail("recovery failed: %v", err)
 	}
 	k2.Eng.RunWhile(func() bool { return recovered == nil })
-	fmt.Printf("recovered execution position: iteration %d (crash was at %d)\n",
+	fmt.Fprintf(stdout, "recovered execution position: iteration %d (crash was at %d)\n",
 		prog2.Progress(), prog1.Progress())
 	if prog2.Progress() == 0 || prog2.Progress() > prog1.Progress() {
-		fmt.Fprintln(os.Stderr, "FAIL: recovery position implausible")
-		os.Exit(1)
+		return fail("FAIL: recovery position implausible")
 	}
 
 	if !k2.RunUntilDone(10 * sim.Second) {
-		fmt.Fprintln(os.Stderr, "FAIL: recovered process never completed")
-		os.Exit(1)
+		return fail("FAIL: recovered process never completed")
 	}
-	fmt.Printf("\nrecovered process ran to completion: %d/%d iterations\n", prog2.Progress(), *iterations)
-	fmt.Println("OK: process persisted across the crash and resumed from its last checkpoint")
+	fmt.Fprintf(stdout, "\nrecovered process ran to completion: %d/%d iterations\n", prog2.Progress(), *iterations)
+	fmt.Fprintln(stdout, "OK: process persisted across the crash and resumed from its last checkpoint")
 
 	if *dumpStats {
-		fmt.Println("\n=== simulator counters (post-recovery kernel) ===")
-		k2.DumpStats(os.Stdout)
+		fmt.Fprintln(stdout, "\n=== simulator counters (post-recovery kernel) ===")
+		k2.DumpStats(stdout)
 	}
+	return 0
 }

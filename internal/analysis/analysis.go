@@ -23,6 +23,8 @@ package analysis
 import (
 	"fmt"
 	"go/token"
+	"os"
+	"path/filepath"
 	"sort"
 )
 
@@ -45,6 +47,13 @@ var DeterministicPackages = []string{
 	"internal/trace",
 	"internal/experiments",
 }
+
+// RootOnlyDirs are module-relative directories that the go tool's
+// "./..." skips but whose code calls into the module: _perfbench is the
+// benchmark harness, a separate module that imports this one through a
+// replace directive. A whole-module run loads each as a root-only
+// package, so what the harness calls is live for the deadcode pass.
+var RootOnlyDirs = []string{"_perfbench"}
 
 // Finding is one diagnostic. File is an absolute path at report time;
 // renderers relativize it against a base directory.
@@ -91,6 +100,7 @@ func AllPasses() []Pass {
 		NewSnapshot(),
 		NewHotAlloc(),
 		NewOwnership(),
+		NewDeadcode(),
 	}
 }
 
@@ -126,13 +136,40 @@ func NewRunner(dir string) (*Runner, error) {
 
 // Run loads every package matched by patterns, applies all passes, and
 // returns the report. Directive parsing errors surface as findings of
-// the reserved "directive" pass.
+// the reserved "directive" pass. A whole-module pattern also loads the
+// RootOnlyDirs that exist as root-only packages.
 func (r *Runner) Run(patterns []string) (*Report, error) {
 	pkgs, err := r.Loader.Load(patterns)
 	if err != nil {
 		return nil, err
 	}
+	if wholeModule(patterns) {
+		for _, dir := range RootOnlyDirs {
+			abs := filepath.Join(r.Loader.Root, dir)
+			if _, err := os.Stat(abs); err != nil {
+				continue
+			}
+			pkg, err := r.Loader.LoadDir(abs, r.Loader.Module+"/"+dir)
+			if err != nil {
+				return nil, err
+			}
+			if pkg != nil {
+				pkg.RootOnly = true
+				pkgs = append(pkgs, pkg)
+			}
+		}
+	}
 	return r.Analyze(pkgs), nil
+}
+
+// wholeModule reports whether patterns name every package of the module.
+func wholeModule(patterns []string) bool {
+	for _, pat := range patterns {
+		if pat == "./..." || pat == "..." {
+			return true
+		}
+	}
+	return false
 }
 
 // Analyze applies the passes to already-loaded packages.
@@ -146,13 +183,18 @@ func (r *Runner) Analyze(pkgs []*Package) *Report {
 		known:      known,
 		directives: make(map[string][]Directive),
 	}
+	var analyzed []*Package
 	for _, pkg := range pkgs {
+		if pkg.RootOnly {
+			continue
+		}
+		analyzed = append(analyzed, pkg)
 		for i, f := range pkg.Files {
 			name := pkg.Names[i]
 			rep.directives[name] = ParseDirectives(r.Loader.Fset, f, pkg.Src[name])
 		}
 	}
-	for _, pkg := range pkgs {
+	for _, pkg := range analyzed {
 		for _, pass := range r.Passes {
 			pass.Run(pkg, rep)
 		}
@@ -190,7 +232,7 @@ func (r *Runner) Analyze(pkgs []*Package) *Report {
 
 	out := &Report{
 		Module:     r.Loader.Module,
-		Packages:   len(pkgs),
+		Packages:   len(analyzed),
 		Findings:   rep.findings,
 		Suppressed: rep.suppressed,
 	}
@@ -225,16 +267,26 @@ type Reporter struct {
 // Report records a finding from pass at pos unless a valid ignore
 // directive targets its line.
 func (r *Reporter) Report(pass string, pos token.Pos, msg string) {
-	p := r.fset.Position(pos)
-	for _, d := range r.directives[p.Filename] {
-		if d.Err == "" && d.Target == p.Line && d.matchesPass(pass) {
-			r.suppressed++
-			return
-		}
+	if r.Suppresses(pass, pos) {
+		r.suppressed++
+		return
 	}
+	p := r.fset.Position(pos)
 	r.findings = append(r.findings, Finding{
 		Pass: pass, File: p.Filename, Line: p.Line, Col: p.Column, Message: msg,
 	})
+}
+
+// Suppresses reports whether a valid ignore directive for pass targets
+// the line of pos.
+func (r *Reporter) Suppresses(pass string, pos token.Pos) bool {
+	p := r.fset.Position(pos)
+	for _, d := range r.directives[p.Filename] {
+		if d.Err == "" && d.Target == p.Line && d.matchesPass(pass) {
+			return true
+		}
+	}
+	return false
 }
 
 // reportBadDirectives converts malformed directives (and directives

@@ -23,8 +23,7 @@ var fixturePath = map[string]string{
 	"testdata/src/statskeys/fixa": "prosper/internal/fixa",
 	"testdata/src/statskeys/fixb": "prosper/internal/fixb",
 	// The hostprof fixture poses as a non-sanctioned package (cache) so
-	// its clock reads are findings; TestWallclockAllowsHostprofPackage
-	// re-analyzes it under the real allowlisted path.
+	// its clock reads are findings.
 	"testdata/src/hostprof": "prosper/internal/cache",
 	// The snapshot pass checks any package with SaveSnap/LoadSnap pairs;
 	// the synthetic path just has to dodge the real ones.
@@ -39,6 +38,22 @@ var fixturePath = map[string]string{
 	// so fixwriter's import resolves from the loader cache.
 	"testdata/src/ownership/fixowner":  "prosper/internal/fixowner",
 	"testdata/src/ownership/fixwriter": "prosper/internal/trace",
+	// The deadcode set: lib is judged; root poses as the module root
+	// package (its exports are API), cmd as a package main, and bench as
+	// the root-only benchmark harness. lib must be loaded first so the
+	// others' imports resolve from the loader cache.
+	"testdata/src/deadcode/lib":   "prosper/internal/fixdead",
+	"testdata/src/deadcode/root":  "prosper",
+	"testdata/src/deadcode/cmd":   "prosper/cmd/fixdead",
+	"testdata/src/deadcode/bench": "prosper/_perfbench",
+}
+
+// deadcodeFixtures lists the deadcode fixture set in load order.
+var deadcodeFixtures = []string{
+	"testdata/src/deadcode/lib",
+	"testdata/src/deadcode/root",
+	"testdata/src/deadcode/cmd",
+	"testdata/src/deadcode/bench",
 }
 
 func loadFixtures(t *testing.T, dirs ...string) (*Loader, []*Package) {
@@ -59,6 +74,13 @@ func loadFixtures(t *testing.T, dirs ...string) (*Loader, []*Package) {
 		}
 		if pkg == nil {
 			t.Fatalf("fixture %s is empty", dir)
+		}
+		// A fixture posing under a RootOnlyDirs path is root-only, as a
+		// whole-module Runner.Run would load it.
+		for _, d := range RootOnlyDirs {
+			if path == l.Module+"/"+d {
+				pkg.RootOnly = true
+			}
 		}
 		pkgs = append(pkgs, pkg)
 	}
@@ -141,6 +163,27 @@ func TestOwnershipPass(t *testing.T) {
 	}
 }
 
+func TestDeadcodePass(t *testing.T) {
+	rep := runFixture(t, []Pass{NewDeadcode()}, deadcodeFixtures...)
+	_, pkgs := loadFixtures(t, deadcodeFixtures...)
+	checkAgainstWants(t, rep, collectWants(pkgs))
+	if rep.Suppressed != 1 {
+		t.Errorf("suppressed = %d, want 1 (the kept function)", rep.Suppressed)
+	}
+	if rep.Packages != 3 {
+		t.Errorf("packages = %d, want 3 (the root-only bench package is not analyzed)", rep.Packages)
+	}
+}
+
+// TestDeadcodeNeedsEntryPoints: a library package analyzed without any
+// main, root package or root-only package is not judged at all.
+func TestDeadcodeNeedsEntryPoints(t *testing.T) {
+	rep := runFixture(t, []Pass{NewDeadcode()}, "testdata/src/deadcode/lib")
+	if len(rep.Findings) != 0 {
+		t.Errorf("deadcode judged a package with no entry points: %+v", rep.Findings)
+	}
+}
+
 func TestSnapshotPass(t *testing.T) {
 	rep := runFixture(t, []Pass{NewSnapshot()}, "testdata/src/snapshot")
 	_, pkgs := loadFixtures(t, "testdata/src/snapshot")
@@ -186,9 +229,9 @@ func TestWallclockAllowsHostTimingPackages(t *testing.T) {
 	}
 }
 
-// TestWallclockFlagsHostprofShapedCode proves the allowlist extension
-// for internal/hostprof did not blunt the pass: the very same clock
-// code in any non-sanctioned package is still flagged at every site.
+// TestWallclockFlagsHostprofShapedCode proves a monotonic-clock helper
+// gets no pass for being profiling code: every clock read in it is
+// flagged.
 func TestWallclockFlagsHostprofShapedCode(t *testing.T) {
 	rep := runFixture(t, []Pass{NewWallclock()}, "testdata/src/hostprof")
 	_, pkgs := loadFixtures(t, "testdata/src/hostprof")
@@ -199,25 +242,6 @@ func TestWallclockFlagsHostprofShapedCode(t *testing.T) {
 	checkAgainstWants(t, rep, wants)
 	if rep.Suppressed != 0 {
 		t.Errorf("suppressed = %d, want 0 (fixture has no ignore directives)", rep.Suppressed)
-	}
-}
-
-// TestWallclockAllowsHostprofPackage analyzes the same fixture under the
-// sanctioned prosper/internal/hostprof path: the package owns the
-// profiling clock, so the allowlist admits it without directives.
-func TestWallclockAllowsHostprofPackage(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := l.LoadDir("testdata/src/hostprof", "prosper/internal/hostprof")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &Runner{Loader: l, Passes: []Pass{NewWallclock()}}
-	rep := r.Analyze([]*Package{pkg})
-	if len(rep.Findings) != 0 {
-		t.Errorf("wallclock flagged the sanctioned hostprof package: %+v", rep.Findings)
 	}
 }
 
@@ -329,7 +353,7 @@ func TestPassNamesStable(t *testing.T) {
 		names = append(names, p.Name())
 	}
 	got := strings.Join(names, " ")
-	if got != "maprange wallclock concurrency statskeys snapshot hotalloc ownership" {
+	if got != "maprange wallclock concurrency statskeys snapshot hotalloc ownership deadcode" {
 		t.Errorf("pass suite = %q", got)
 	}
 	_ = fmt.Sprintf // keep fmt imported for future debugging ease

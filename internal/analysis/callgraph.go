@@ -102,20 +102,15 @@ type Program struct {
 	Pkgs  []*Package
 	Nodes []*FuncNode // sorted by ID
 	Roots []*FuncNode // hot-path roots, sorted by ID
+	// VarRefs are the functions referenced from package-level var
+	// initializers, sorted by ID.
+	VarRefs []*FuncNode
+	Module  string // module path, for telling the root package apart
 
 	byObj map[*types.Func]*FuncNode
 	// attachedHotpath records which hotpath directives found a function
 	// declaration on their target line, keyed by file then target line.
 	attachedHotpath map[string]map[int]bool
-}
-
-// NodeByID returns the named node, or nil.
-func (p *Program) NodeByID(id string) *FuncNode {
-	i := sort.Search(len(p.Nodes), func(i int) bool { return p.Nodes[i].ID >= id })
-	if i < len(p.Nodes) && p.Nodes[i].ID == id {
-		return p.Nodes[i]
-	}
-	return nil
 }
 
 // nodeOf resolves a *types.Func (possibly a generic instance) to its
@@ -169,6 +164,7 @@ func BuildProgram(l *Loader, pkgs []*Package) *Program {
 	p := &Program{
 		Fset:            l.Fset,
 		Pkgs:            pkgs,
+		Module:          l.Module,
 		byObj:           make(map[*types.Func]*FuncNode),
 		attachedHotpath: make(map[string]map[int]bool),
 	}
@@ -250,6 +246,7 @@ func BuildProgram(l *Loader, pkgs []*Package) *Program {
 		collectSummary(p, n)
 		sortEdges(n)
 	}
+	collectVarRefs(p, ifaceIndex)
 
 	p.markReachable()
 	return p
@@ -307,10 +304,42 @@ func isSimContinuationCall(info *types.Info, call *ast.CallExpr) bool {
 // collectEdges walks one function body (closures included) and records
 // call, iface, continuation, and ref edges.
 func collectEdges(p *Program, n *FuncNode, idx ifaceIndex) {
-	info := n.Pkg.Info
+	walkFuncRefs(p, n.Pkg.Info, n.Decl.Body, idx, func(kind EdgeKind, to *FuncNode, pos token.Pos) {
+		n.Edges = append(n.Edges, Edge{Kind: kind, To: to, Pos: pos})
+	})
+}
+
+// collectVarRefs records every function referenced from a package-level
+// var initializer (closures included). Initializers run when the
+// package is initialized, so these functions are live wherever the
+// package is.
+func collectVarRefs(p *Program, idx ifaceIndex) {
+	seen := make(map[*FuncNode]bool)
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.VAR {
+					continue
+				}
+				walkFuncRefs(p, pkg.Info, gd, idx, func(_ EdgeKind, to *FuncNode, _ token.Pos) {
+					if !seen[to] {
+						seen[to] = true
+						p.VarRefs = append(p.VarRefs, to)
+					}
+				})
+			}
+		}
+	}
+	sort.Slice(p.VarRefs, func(i, j int) bool { return p.VarRefs[i].ID < p.VarRefs[j].ID })
+}
+
+// walkFuncRefs walks root and calls emit for every declared function it
+// calls or references, classified by edge kind.
+func walkFuncRefs(p *Program, info *types.Info, root ast.Node, idx ifaceIndex, emit func(EdgeKind, *FuncNode, token.Pos)) {
 	add := func(kind EdgeKind, to *FuncNode, pos token.Pos) {
 		if to != nil {
-			n.Edges = append(n.Edges, Edge{Kind: kind, To: to, Pos: pos})
+			emit(kind, to, pos)
 		}
 	}
 
@@ -333,7 +362,7 @@ func collectEdges(p *Program, n *FuncNode, idx ifaceIndex) {
 		}
 	}
 
-	walkWithStack(n.Decl.Body, func(node ast.Node, stack []ast.Node) bool {
+	walkWithStack(root, func(node ast.Node, stack []ast.Node) bool {
 		// funcRefAt resolves expr to a declared function if it names one.
 		funcRefAt := func(expr ast.Expr) (*types.Func, bool) {
 			switch e := expr.(type) {

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -148,4 +149,13 @@ func TestLoaderUnresolvedImport(t *testing.T) {
 	if !strings.Contains(err.Error(), "prosper/internal/definitely/missing") {
 		t.Errorf("error does not name the missing import path: %v", err)
 	}
+}
+
+// NodeByID returns the named node, or nil.
+func (p *Program) NodeByID(id string) *FuncNode {
+	i := sort.Search(len(p.Nodes), func(i int) bool { return p.Nodes[i].ID >= id })
+	if i < len(p.Nodes) && p.Nodes[i].ID == id {
+		return p.Nodes[i]
+	}
+	return nil
 }

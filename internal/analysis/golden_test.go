@@ -15,8 +15,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // the contract CI archives: stable field names, sorted findings,
 // forward-slash relative paths, trailing newline.
 func TestGoldenJSON(t *testing.T) {
-	dirs := []string{
+	dirs := append([]string{
 		"testdata/src/concurrency",
+	}, deadcodeFixtures...)
+	dirs = append(dirs,
 		"testdata/src/directive",
 		"testdata/src/hotalloc",
 		"testdata/src/maprange",
@@ -28,7 +30,7 @@ func TestGoldenJSON(t *testing.T) {
 		"testdata/src/statskeys/fixa",
 		"testdata/src/statskeys/fixb",
 		"testdata/src/wallclock",
-	}
+	)
 	l, pkgs := loadFixtures(t, dirs...)
 	r := &Runner{Loader: l, Passes: AllPasses()}
 	rep := r.Analyze(pkgs)

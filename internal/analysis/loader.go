@@ -38,6 +38,11 @@ type Package struct {
 	Pkg   *types.Package
 	Info  *types.Info
 	Src   map[string][]byte // file name -> source bytes
+
+	// RootOnly marks a package loaded only so that the functions it
+	// references count as live for the deadcode pass (see
+	// RootOnlyDirs). No pass runs on it or reports in it.
+	RootOnly bool
 }
 
 // NewLoader returns a loader anchored at the module containing dir.

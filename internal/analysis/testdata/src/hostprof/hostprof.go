@@ -1,8 +1,7 @@
-// Package hostprof is a prosper-lint fixture shaped like the real
-// internal/hostprof clock: a monotonic-nanosecond source built on
-// time.Now/time.Since. Analyzed under a sim-deterministic import path
-// the reads are findings; analyzed under prosper/internal/hostprof the
-// allowlist admits them wholesale (see the wallclock tests).
+// Package hostprof is a prosper-lint fixture shaped like a host
+// profiling clock: a monotonic-nanosecond source built on
+// time.Now/time.Since. Outside the wallclock allowlist every read is a
+// finding.
 package hostprof
 
 import "time"

@@ -12,7 +12,7 @@ func register(c *stats.Counters, h *stats.Histograms, r *telemetry.Registry) {
 	c.Inc("fixa_only_key")
 	c.Add("fixa.requests", 1)
 	c.Handle("TLB.Hits")     // want:statskeys "not a lowercase dotted identifier"
-	c.Set("fixa.bad key", 0) // want:statskeys "not a lowercase dotted identifier"
+	c.Add("fixa.bad key", 0) // want:statskeys "not a lowercase dotted identifier"
 	h.New("fixa.latency")
 	h.New("Latency") // want:statskeys "not a lowercase dotted identifier"
 	r.Register("fixa", c)

@@ -32,9 +32,8 @@ func (*Wallclock) Doc() string {
 // wallclockAllowed are the packages whose whole job is host-side
 // timing; everything else needs a per-site directive.
 var wallclockAllowed = []string{
-	"internal/runner",   // executor wall-time per run (host metric)
-	"internal/stats",    // RunLog progress timestamps (host metric)
-	"internal/hostprof", // owns the monotonic clock for host profiling (sim.Profile's injected clock)
+	"internal/runner", // executor wall-time per run (host metric)
+	"internal/stats",  // RunLog progress timestamps (host metric)
 }
 
 // bannedTime are the time-package functions that read or schedule by

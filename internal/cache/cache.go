@@ -174,9 +174,6 @@ func New(eng *sim.Engine, cfg Config, next Port) *Cache {
 	return c
 }
 
-// Name returns the level's configured name.
-func (c *Cache) Name() string { return c.cfg.Name }
-
 // AttachJourneys wires the journey recorder into the level, declaring
 // which stage lane (L1/L2/L3) its spans land in.
 func (c *Cache) AttachJourneys(r *journey.Recorder, stage journey.Stage) {
@@ -382,15 +379,10 @@ func (c *Cache) retryBlocked() {
 // misses right now; telemetry samples it against cfg.MSHRs.
 func (c *Cache) MSHRsInUse() int { return len(c.mshrs) }
 
-// BlockedAccesses returns how many accesses are stalled on MSHR
-// exhaustion right now.
-func (c *Cache) BlockedAccesses() int { return len(c.blocked) }
-
-// Contains reports whether the line holding addr is resident (test hook).
-func (c *Cache) Contains(addr uint64) bool { return c.lookup(mem.LineOf(addr)) != nil }
-
 // Flush writes back every dirty line and invalidates the cache, e.g. to
 // model cache loss at power failure or explicit clwb sweeps.
+//
+//prosperlint:ignore deadcode machine.TestAllocsL1MissL2Hit and TestAllocsJourneyOffUnsampled flush levels to force misses
 func (c *Cache) Flush() {
 	for si := range c.sets {
 		for wi := range c.sets[si] {
@@ -423,18 +415,4 @@ func NewHierarchy(eng *sim.Engine, cores int, memory Port) *Hierarchy {
 		h.L1D = append(h.L1D, l1)
 	}
 	return h
-}
-
-// CorePort returns the L1D port for the given core.
-func (h *Hierarchy) CorePort(core int) *Cache { return h.L1D[core] }
-
-// FlushAll flushes every level, L1 outward, modelling a full cache sweep.
-func (h *Hierarchy) FlushAll() {
-	for _, c := range h.L1D {
-		c.Flush()
-	}
-	for _, c := range h.L2 {
-		c.Flush()
-	}
-	h.L3.Flush()
 }

@@ -50,7 +50,7 @@ func TestCacheMissThenHit(t *testing.T) {
 		t.Fatalf("below reads = %d, want 1 (second access must hit)", below.reads)
 	}
 	if c.Counters.Get("t.hits") != 1 || c.Counters.Get("t.misses") != 1 {
-		t.Fatalf("counters: %v", c.Counters.Snapshot())
+		t.Fatalf("counters:\n%v", c.Counters)
 	}
 }
 
@@ -123,10 +123,10 @@ func TestCacheLRUVictimSelection(t *testing.T) {
 	eng.Run()
 	c.Access(false, 4*stride, sim.Done{}) // evicts line 1
 	eng.Run()
-	if !c.Contains(0) {
+	if c.lookup(mem.LineOf(0)) == nil {
 		t.Fatal("recently used line evicted")
 	}
-	if c.Contains(stride) {
+	if c.lookup(mem.LineOf(stride)) != nil {
 		t.Fatal("LRU line survived")
 	}
 }
@@ -139,7 +139,7 @@ func TestCacheFlush(t *testing.T) {
 	eng.Run()
 	c.Flush()
 	eng.Run()
-	if c.Contains(0x100) || c.Contains(0x200) {
+	if c.lookup(mem.LineOf(0x100)) != nil || c.lookup(mem.LineOf(0x200)) != nil {
 		t.Fatal("flush left lines resident")
 	}
 	if below.writes != 1 {
@@ -153,10 +153,10 @@ func TestHierarchyEndToEnd(t *testing.T) {
 	h := NewHierarchy(eng, 2, PortFunc(ctl.Access))
 	var coldT, warmT sim.Time
 	start := eng.Now()
-	h.CorePort(0).Access(false, 0x4000, sim.Thunk(sim.CompCache, func() { coldT = eng.Now() - start }))
+	h.L1D[0].Access(false, 0x4000, sim.Thunk(sim.CompCache, func() { coldT = eng.Now() - start }))
 	eng.Run()
 	start = eng.Now()
-	h.CorePort(0).Access(false, 0x4000, sim.Thunk(sim.CompCache, func() { warmT = eng.Now() - start }))
+	h.L1D[0].Access(false, 0x4000, sim.Thunk(sim.CompCache, func() { warmT = eng.Now() - start }))
 	eng.Run()
 	// Cold miss must traverse L1+L2+L3+DRAM; warm hit costs L1 latency.
 	if coldT < 135 {
@@ -166,7 +166,7 @@ func TestHierarchyEndToEnd(t *testing.T) {
 		t.Fatalf("warm hit = %d, want 3", warmT)
 	}
 	// Other core's L1 must not contain the line (private L1s).
-	if h.CorePort(1).Contains(0x4000) {
+	if h.L1D[1].lookup(mem.LineOf(0x4000)) != nil {
 		t.Fatal("line leaked into other core's L1")
 	}
 }
@@ -177,10 +177,10 @@ func TestHierarchyNVMSlower(t *testing.T) {
 	h := NewHierarchy(eng, 1, PortFunc(ctl.Access))
 	var dramT, nvmT sim.Time
 	start := eng.Now()
-	h.CorePort(0).Access(false, 0x10000, sim.Thunk(sim.CompCache, func() { dramT = eng.Now() - start }))
+	h.L1D[0].Access(false, 0x10000, sim.Thunk(sim.CompCache, func() { dramT = eng.Now() - start }))
 	eng.Run()
 	start = eng.Now()
-	h.CorePort(0).Access(false, mem.NVMBase+0x10000, sim.Thunk(sim.CompCache, func() { nvmT = eng.Now() - start }))
+	h.L1D[0].Access(false, mem.NVMBase+0x10000, sim.Thunk(sim.CompCache, func() { nvmT = eng.Now() - start }))
 	eng.Run()
 	if nvmT <= dramT {
 		t.Fatalf("NVM miss (%d) should be slower than DRAM miss (%d)", nvmT, dramT)

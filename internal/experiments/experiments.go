@@ -86,6 +86,8 @@ func DefaultScale() Scale {
 }
 
 // TestScale is a very small configuration for unit tests.
+//
+//prosperlint:ignore deadcode the root package's BenchmarkFig8 and BenchmarkCrashSweep in bench_test.go run at this scale
 func TestScale() Scale {
 	s := DefaultScale()
 	s.Interval = 50 * sim.Microsecond

@@ -408,8 +408,8 @@ func TestPauseBreakdownShape(t *testing.T) {
 		t.Skip("heavy")
 	}
 	rows, tb := PauseBreakdown(perfScale())
-	if len(rows) == 0 || tb.NumRows() != len(rows) {
-		t.Fatalf("no pause rows (table has %d)", tb.NumRows())
+	if len(rows) == 0 || len(tb.JSON().Rows) != len(rows) {
+		t.Fatalf("no pause rows (table has %d)", len(tb.JSON().Rows))
 	}
 	byMech := map[string]PauseRow{}
 	for _, r := range rows {

@@ -262,14 +262,6 @@ func TestTableAndJSONDeterministic(t *testing.T) {
 	}
 }
 
-func TestNanotimeMonotonic(t *testing.T) {
-	a := Nanotime()
-	b := Nanotime()
-	if b < a {
-		t.Fatalf("Nanotime went backwards: %d then %d", a, b)
-	}
-}
-
 func TestBuilderDeterministic(t *testing.T) {
 	a := cpuBuilder().EncodeGzip()
 	b := cpuBuilder().EncodeGzip()

@@ -1,3 +1,8 @@
+// Package hostprof is a stdlib-only decoder for pprof CPU/heap profiles
+// that attributes samples to simulated components by package path. It
+// follows the same ethos as internal/analysis's Loader: no module
+// dependencies, just enough of the format (gzip framing + protobuf
+// varints) to read what the Go runtime writes.
 package hostprof
 
 import (

@@ -72,19 +72,6 @@ func (jl *Journal) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteJSONL serializes a single recorder with the same format-header
-// framing (single-run CLIs use it directly).
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "{\"journey_journal\":%d}\n", FormatVersion)
-	if r != nil {
-		if err := r.writeJSONL(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 func (r *Recorder) writeJSONL(bw *bufio.Writer) error {
 	accesses, sampled, finished := r.Counts()
 	fmt.Fprintf(bw, "{\"run\":%s,\"rate\":%d,\"seed\":%d,\"accesses\":%d,\"sampled\":%d,\"finished\":%d}\n",

@@ -177,18 +177,6 @@ func (j *Journey) Latency() sim.Time { return j.End - j.Start }
 // the run ended.
 func (j *Journey) Finished() bool { return j.finished }
 
-// DominantStage returns the stage charged the most cycles (ties go to
-// the shallower stage, matching enumeration order).
-func (j *Journey) DominantStage() Stage {
-	best := Stage(0)
-	for s := 1; s < NumStages; s++ {
-		if j.Vec[s] > j.Vec[best] {
-			best = Stage(s)
-		}
-	}
-	return best
-}
-
 // attribute partitions [Start, End) among the recorded spans with an
 // innermost-span-wins sweep: for every elementary interval between span
 // boundaries, the covering span that entered last claims it (ties break
@@ -261,25 +249,6 @@ func NewRecorder(name string, rate, seed uint64) *Recorder {
 		return nil
 	}
 	return &Recorder{name: name, rate: rate, seed: seed}
-}
-
-// Name returns the run label the recorder was created under.
-func (r *Recorder) Name() string {
-	if r == nil {
-		return ""
-	}
-	return r.name
-}
-
-// Enabled reports whether the recorder actually records (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Accesses returns how many accesses the recorder has observed.
-func (r *Recorder) Accesses() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.seq
 }
 
 // splitmix64 is the SplitMix64 finalizer: a seeded, stateless hash of

@@ -94,8 +94,8 @@ func (k *Kernel) checkpointPaused(p *Process, start int64, epoch telemetry.Span,
 			if p.CommitHook != nil {
 				// Snapshot point: the machine is at its quietest (threads
 				// parked, mechanisms committed), and everything that IS in
-				// flight carries a stable resume identity. The hook reads
-				// k.SnapshotPoint to learn which commit it is standing in.
+				// flight carries a stable resume identity. SaveSnap reads
+				// hookProc to learn which commit it is standing in.
 				k.hookProc = p
 				k.hookSync = done != nil
 				p.CommitHook(p)

@@ -62,7 +62,7 @@ func TestFsckDetectsBadMagic(t *testing.T) {
 
 func TestFsckDetectsCorruptPhase(t *testing.T) {
 	k := buildCheckpointedState(t)
-	p := k.FindProc("fscked")
+	p := k.procs[0]
 	k.Mach.Storage.WriteU64(p.Threads[0].StackSeg.MetaBase, 7)
 	rep := Fsck(k.Mach.Storage)
 	if rep.OK() {
@@ -72,7 +72,7 @@ func TestFsckDetectsCorruptPhase(t *testing.T) {
 
 func TestFsckDetectsEntryBeyondSegment(t *testing.T) {
 	k := buildCheckpointedState(t)
-	p := k.FindProc("fscked")
+	p := k.procs[0]
 	meta := p.Threads[0].StackSeg.MetaBase
 	// Force phase TempValid with one absurd entry.
 	st := k.Mach.Storage
@@ -89,7 +89,7 @@ func TestFsckDetectsEntryBeyondSegment(t *testing.T) {
 
 func TestFsckDetectsSizeMismatch(t *testing.T) {
 	k := buildCheckpointedState(t)
-	p := k.FindProc("fscked")
+	p := k.procs[0]
 	meta := p.Threads[0].StackSeg.MetaBase
 	st := k.Mach.Storage
 	st.WriteU64(meta, 1)       // temp-valid: the only phase whose table is fenced

@@ -32,7 +32,8 @@ func TestJourneyAttributionInvariantPerMechanism(t *testing.T) {
 	for _, m := range mechs {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
-			r := journey.NewRecorder(m.name, 16, 1)
+			jl := journey.NewJournal()
+			r := jl.NewRecorder(m.name, 16, 1)
 			k := New(Config{
 				Machine: machine.Config{Cores: 2},
 				Quantum: 200 * sim.Microsecond,
@@ -86,7 +87,7 @@ func TestJourneyAttributionInvariantPerMechanism(t *testing.T) {
 
 			// The serialized journal must round-trip the same invariants.
 			var buf bytes.Buffer
-			if err := r.WriteJSONL(&buf); err != nil {
+			if err := jl.WriteJSONL(&buf); err != nil {
 				t.Fatal(err)
 			}
 			parsed, err := journey.Parse(bytes.NewReader(buf.Bytes()))

@@ -318,19 +318,6 @@ func (k *Kernel) yield(cs *coreState, t *Thread, afterParked func()) {
 	})
 }
 
-// Procs returns the kernel's processes.
-func (k *Kernel) Procs() []*Process { return k.procs }
-
-// FindProc returns the process with the given name, or nil.
-func (k *Kernel) FindProc(name string) *Process {
-	for _, p := range k.procs {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // RunFor advances simulation by d cycles.
 func (k *Kernel) RunFor(d sim.Time) { k.Eng.RunUntil(k.Eng.Now() + d) }
 

@@ -110,7 +110,7 @@ func TestDRAMResidentStackDropsAtCrash(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if !mem.IsDRAM(paddr) {
+		if paddr >= mem.DRAMSize {
 			t.Fatalf("prosper stack page %#x not in DRAM", paddr)
 		}
 		if dirtyPage == 0 {

@@ -118,20 +118,6 @@ type Thread struct {
 	storeBuf    []byte
 }
 
-// State returns a printable thread state (tests and tools).
-func (t *Thread) State() string {
-	switch t.state {
-	case threadReady:
-		return "ready"
-	case threadRunning:
-		return "running"
-	case threadPaused:
-		return "paused"
-	default:
-		return "done"
-	}
-}
-
 // Mech exposes the thread's stack persistence mechanism.
 func (t *Thread) Mech() persist.Mechanism { return t.mech }
 
@@ -183,7 +169,7 @@ type Process struct {
 
 	// CommitHook, when set, fires right after OnCommit and before the
 	// threads resume — the one point in a run where a simulator snapshot
-	// can be taken (snapshot.Save reads the kernel's SnapshotPoint while
+	// can be taken (Kernel.SaveSnap records the committing process while
 	// the hook runs). Like OnCommit it must not mutate simulation state.
 	CommitHook func(p *Process)
 

@@ -16,12 +16,6 @@ import (
 // background apply traffic whose continuations carry resume keys. Save
 // is a pure read; the run continues unperturbed afterwards.
 
-// SnapshotPoint reports the commit hook currently executing: the process
-// whose checkpoint just committed, and whether the checkpoint was
-// triggered synchronously (such a commit carries a host-side done
-// closure and cannot be snapshotted). Nil outside a commit hook.
-func (k *Kernel) SnapshotPoint() (p *Process, sync bool) { return k.hookProc, k.hookSync }
-
 // SaveSnap encodes the full kernel state: scheduler, trackers, and every
 // process with its address space, mechanisms, and threads. claims
 // accumulates the (when, seq) identities of the pending engine events

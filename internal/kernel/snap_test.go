@@ -37,7 +37,7 @@ func captureKernelSnap(t *testing.T) (*Kernel, []byte) {
 		if saved != nil {
 			return
 		}
-		if hp, sync := k.SnapshotPoint(); hp != proc || sync {
+		if hp, sync := k.hookProc, k.hookSync; hp != proc || sync {
 			t.Errorf("SnapshotPoint inside hook = (%v, %v)", hp, sync)
 		}
 		w := snapbuf.NewWriter()
@@ -61,7 +61,7 @@ func TestKernelSnapRoundTripAndTruncation(t *testing.T) {
 	if err := fresh.LoadSnap(snapbuf.NewReader(data), nil); err != nil {
 		t.Fatalf("full payload LoadSnap: %v", err)
 	}
-	if hp, _ := fresh.SnapshotPoint(); hp == nil {
+	if hp, _ := fresh.hookProc, fresh.hookSync; hp == nil {
 		t.Fatal("LoadSnap did not re-enter the commit hook")
 	}
 	// Every truncation length must be rejected, but booting a kernel per
@@ -145,7 +145,7 @@ func TestKernelSnapRequiresQuiescence(t *testing.T) {
 	k.RunFor(200 * sim.Microsecond)
 
 	// Outside any commit hook.
-	if hp, _ := k.SnapshotPoint(); hp != nil {
+	if hp, _ := k.hookProc, k.hookSync; hp != nil {
 		t.Fatal("SnapshotPoint non-nil outside a commit hook")
 	}
 	w := snapbuf.NewWriter()

@@ -16,13 +16,3 @@ func (k *Kernel) DumpStats(w io.Writer) {
 	fmt.Fprintf(w, "sim.cycles %d\n", k.Eng.Now())
 	fmt.Fprintf(w, "sim.events %d\n", k.Eng.Fired())
 }
-
-// DumpStatsJSON writes the same metrics as DumpStats as one flat JSON
-// object whose keys appear in exactly the text dump's order (the
-// serializer preserves insertion order, so the bytes are deterministic).
-func (k *Kernel) DumpStatsJSON(w io.Writer) error {
-	return k.Metrics.WriteJSON(w, func(emit func(name string, v uint64)) {
-		emit("sim.cycles", uint64(k.Eng.Now()))
-		emit("sim.events", k.Eng.Fired())
-	})
-}

@@ -34,8 +34,9 @@ func tracedRun(t *testing.T) []byte {
 	k.RunFor(900 * sim.Microsecond)
 	p.Shutdown()
 
-	if k.Trace.Snapshots() == 0 {
-		t.Fatal("sampler recorded no metrics snapshots")
+	var metrics bytes.Buffer
+	if err := trace.WriteMetricsJSONL(&metrics); err != nil || metrics.Len() == 0 {
+		t.Fatalf("sampler recorded no metrics snapshots (err %v)", err)
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteJSON(&buf); err != nil {
@@ -103,73 +104,6 @@ func TestTraceDeterministic(t *testing.T) {
 	b := tracedRun(t)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("identical runs produced different traces (%d vs %d bytes)", len(a), len(b))
-	}
-}
-
-// TestDumpStatsJSON checks the JSON dump carries exactly the text dump's
-// keys and values, in the same stable order.
-func TestDumpStatsJSON(t *testing.T) {
-	k := testKernel(2)
-	p := k.Spawn(ProcessConfig{
-		Name:               "jsonme",
-		StackMech:          persist.NewProsper(persist.ProsperConfig{}),
-		CheckpointInterval: 200 * sim.Microsecond,
-	}, workload.NewRandom(workload.MicroParams{ArrayBytes: 8 << 10, WritesPerRun: 64}))
-	k.RunFor(500 * sim.Microsecond)
-	p.Shutdown()
-
-	var text, js bytes.Buffer
-	k.DumpStats(&text)
-	if err := k.DumpStatsJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-
-	var parsed map[string]uint64
-	if err := json.Unmarshal(js.Bytes(), &parsed); err != nil {
-		t.Fatalf("DumpStatsJSON output invalid: %v\n%s", err, js.String())
-	}
-
-	// Same key order: extract key order from the raw JSON bytes (the
-	// writer emits insertion-ordered keys) and from the text dump.
-	var textKeys []string
-	textVals := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(text.String()), "\n") {
-		f := strings.Fields(line)
-		if len(f) != 2 {
-			t.Fatalf("unparseable text line %q", line)
-		}
-		textKeys = append(textKeys, f[0])
-		textVals[f[0]] = f[1]
-	}
-	var jsonKeys []string
-	dec := json.NewDecoder(bytes.NewReader(js.Bytes()))
-	if _, err := dec.Token(); err != nil { // opening brace
-		t.Fatal(err)
-	}
-	for dec.More() {
-		tok, err := dec.Token()
-		if err != nil {
-			t.Fatal(err)
-		}
-		jsonKeys = append(jsonKeys, tok.(string))
-		if _, err := dec.Token(); err != nil { // value
-			t.Fatal(err)
-		}
-	}
-	if len(jsonKeys) != len(textKeys) {
-		t.Fatalf("JSON has %d keys, text has %d", len(jsonKeys), len(textKeys))
-	}
-	for i, k := range textKeys {
-		if jsonKeys[i] != k {
-			t.Fatalf("key %d: JSON %q vs text %q", i, jsonKeys[i], k)
-		}
-	}
-	// Spot-check values survive the format change (sim.cycles differs
-	// between dumps only if the engine advanced; it hasn't).
-	for _, key := range []string{"kernel.kernel.context_switches", "proc.jsonme.checkpoints", "sim.cycles"} {
-		if textVals[key] == "" {
-			t.Fatalf("text dump missing %s", key)
-		}
 	}
 }
 

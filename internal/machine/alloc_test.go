@@ -42,7 +42,7 @@ func TestAllocsL1MissL2Hit(t *testing.T) {
 	core.Read(addrUnderTest, 8, readDone) // populate L1+L2+L3
 	m.Eng.Run()
 	allocs := testing.AllocsPerRun(200, func() {
-		core.L1().Flush() // line is read-only clean: invalidate, no writeback
+		core.l1.Flush() // line is read-only clean: invalidate, no writeback
 		m.Eng.Run()
 		core.Read(addrUnderTest, 8, readDone)
 		m.Eng.Run()
@@ -57,7 +57,7 @@ func TestAllocsFullMissDeviceRoundTrip(t *testing.T) {
 	core.Read(addrUnderTest, 8, readDone)
 	m.Eng.Run()
 	allocs := testing.AllocsPerRun(200, func() {
-		core.L1().Flush()
+		core.l1.Flush()
 		core.L2().Flush()
 		m.Hier.L3.Flush()
 		m.Eng.Run()

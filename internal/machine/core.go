@@ -203,10 +203,6 @@ func (c *Core) freeWalk(w *walkOp) {
 	c.walkFree = append(c.walkFree, w) //prosperlint:ignore hotalloc amortized: free-list growth is bounded by peak concurrency
 }
 
-// L1 returns the core's private L1D (the Prosper tracker taps the port in
-// front of it).
-func (c *Core) L1() *cache.Cache { return c.l1 }
-
 // L2 returns the core's private L2; tracker-generated bitmap traffic is
 // injected here so it does not pollute L1 but still contends below it.
 func (c *Core) L2() *cache.Cache { return c.l2 }

@@ -26,11 +26,11 @@ func TestAllocsJourneyOffUnsampled(t *testing.T) {
 	}{
 		{"l1-hit", func(m *Machine, core *Core) {}},
 		{"l1-miss-l2-hit", func(m *Machine, core *Core) {
-			core.L1().Flush()
+			core.l1.Flush()
 			m.Eng.Run()
 		}},
 		{"full-miss-device", func(m *Machine, core *Core) {
-			core.L1().Flush()
+			core.l1.Flush()
 			core.L2().Flush()
 			m.Hier.L3.Flush()
 			m.Eng.Run()
@@ -55,7 +55,7 @@ func TestAllocsJourneyOffUnsampled(t *testing.T) {
 			if _, sampled, _ := r.Counts(); sampled != 0 {
 				t.Fatalf("rate 2^40 sampled %d accesses — the pin measured the wrong path", sampled)
 			}
-			if r.Accesses() == 0 {
+			if accesses, _, _ := r.Counts(); accesses == 0 {
 				t.Fatal("recorder observed no accesses — journey plumbing not attached")
 			}
 		})
@@ -74,7 +74,7 @@ func TestJourneySampledThroughMachine(t *testing.T) {
 
 	// The allocEnv pre-fault left the line cached: flush the whole
 	// hierarchy so the first read is a genuine full miss.
-	core.L1().Flush()
+	core.l1.Flush()
 	core.L2().Flush()
 	m.Hier.L3.Flush()
 	m.Eng.Run()
@@ -118,7 +118,7 @@ func TestJourneySampledThroughMachine(t *testing.T) {
 	if miss.Latency() <= hit.Latency() {
 		t.Fatalf("miss latency %d not above hit latency %d", miss.Latency(), hit.Latency())
 	}
-	if hit.DominantStage() != journey.StageL1 {
-		t.Fatalf("L1 hit dominated by %s", hit.DominantStage())
+	if hit.Vec[journey.StageL1] != hit.Latency() {
+		t.Fatalf("L1 hit charged %d of %d cycles to L1: %+v", hit.Vec[journey.StageL1], hit.Latency(), hit.Vec)
 	}
 }

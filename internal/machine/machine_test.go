@@ -131,9 +131,9 @@ func TestStackGrowthThroughCore(t *testing.T) {
 	sp := uint64(0x7000_0000) - 64
 	core.Write(sp, []byte{42}, nil)
 	m.Eng.Run()
-	stack := as.StackVMA(0)
-	if stack.Lo > sp {
-		t.Fatalf("stack did not grow: lo=%#x sp=%#x", stack.Lo, sp)
+	stack := as.FindVMA(sp)
+	if stack == nil || stack.Kind != vm.KindStack || stack.Lo > sp {
+		t.Fatalf("stack did not grow to cover sp=%#x: %+v", sp, stack)
 	}
 }
 

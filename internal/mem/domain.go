@@ -65,9 +65,6 @@ func NewDomain(live *Storage, adr bool) *Domain {
 	}
 }
 
-// ADR reports whether the domain drains admitted writes on power loss.
-func (d *Domain) ADR() bool { return d.adr }
-
 // WriteAdmitted implements PersistSink: snapshot the line's current
 // functional value as the payload of a write now in flight.
 func (d *Domain) WriteAdmitted(addr uint64) {
@@ -139,10 +136,6 @@ func (d *Domain) Persist(addr uint64, size uint64) {
 	d.live.Read(lo, buf)
 	d.durable.Write(lo, buf)
 }
-
-// PendingLines returns how many NVM lines have at least one admitted,
-// not-yet-durable write in flight.
-func (d *Domain) PendingLines() int { return len(d.pending) }
 
 // CrashImage returns what NVM would hold after a power failure right
 // now, without disturbing the running machine: a fresh Storage holding

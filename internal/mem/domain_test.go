@@ -27,15 +27,15 @@ func TestDomainLineDurability(t *testing.T) {
 	if got := dom.CrashImage().ReadU64(NVMBase); got != 0 {
 		t.Fatalf("in-flight write already durable: %#x", got)
 	}
-	if dom.PendingLines() != 1 {
-		t.Fatalf("PendingLines = %d, want 1", dom.PendingLines())
+	if len(dom.pending) != 1 {
+		t.Fatalf("PendingLines = %d, want 1", len(dom.pending))
 	}
 	eng.Run()
 	if got := dom.CrashImage().ReadU64(NVMBase); got != 0xAABB {
 		t.Fatalf("completed write not durable: %#x", got)
 	}
-	if dom.PendingLines() != 0 {
-		t.Fatalf("PendingLines = %d after completion, want 0", dom.PendingLines())
+	if len(dom.pending) != 0 {
+		t.Fatalf("PendingLines = %d after completion, want 0", len(dom.pending))
 	}
 }
 
@@ -132,8 +132,8 @@ func TestDomainCrashImagePure(t *testing.T) {
 	dev.Access(true, NVMBase, sim.Done{})
 	img := dom.CrashImage()
 	img.WriteU64(NVMBase, 0xDEAD) // scribbling on the image is harmless
-	if dom.PendingLines() != 1 {
-		t.Fatalf("CrashImage disturbed pending set: %d", dom.PendingLines())
+	if len(dom.pending) != 1 {
+		t.Fatalf("CrashImage disturbed pending set: %d", len(dom.pending))
 	}
 	if got := st.ReadU64(NVMBase); got != 0x77 {
 		t.Fatalf("CrashImage disturbed live bytes: %#x", got)
@@ -164,7 +164,7 @@ func TestDomainCrashInPlaceStaleCompletions(t *testing.T) {
 	if got := dom.CrashImage().ReadU64(NVMBase); got != 0xB2 {
 		t.Fatalf("durable value after reboot = %#x, want 0xB2", got)
 	}
-	if dom.PendingLines() != 0 {
-		t.Fatalf("PendingLines = %d, want 0", dom.PendingLines())
+	if len(dom.pending) != 0 {
+		t.Fatalf("PendingLines = %d, want 0", len(dom.pending))
 	}
 }

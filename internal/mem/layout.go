@@ -30,9 +30,6 @@ const (
 // IsNVM reports whether the physical address falls in the NVM range.
 func IsNVM(addr uint64) bool { return addr >= NVMBase && addr < PhysTop }
 
-// IsDRAM reports whether the physical address falls in the DRAM range.
-func IsDRAM(addr uint64) bool { return addr < DRAMSize }
-
 // PageOf returns the page-aligned base of addr.
 func PageOf(addr uint64) uint64 { return addr &^ (PageSize - 1) }
 
@@ -48,15 +45,4 @@ func LinesSpanned(addr uint64, size int) int {
 	first := LineOf(addr)
 	last := LineOf(addr + uint64(size) - 1)
 	return int((last-first)/LineSize) + 1
-}
-
-// PagesSpanned returns how many OS pages the byte range
-// [addr, addr+size) touches.
-func PagesSpanned(addr uint64, size int) int {
-	if size <= 0 {
-		return 0
-	}
-	first := PageOf(addr)
-	last := PageOf(addr + uint64(size) - 1)
-	return int((last-first)/PageSize) + 1
 }

@@ -217,7 +217,7 @@ func TestDeviceCounters(t *testing.T) {
 	}
 	eng.Run()
 	if d.Counters.Get("dram.reads") != 5 || d.Counters.Get("dram.writes") != 3 {
-		t.Fatalf("counters: %v", d.Counters.Snapshot())
+		t.Fatalf("counters:\n%v", d.Counters)
 	}
 }
 
@@ -237,27 +237,4 @@ func TestFrameAllocator(t *testing.T) {
 	if _, err := a.Alloc(); err == nil {
 		t.Fatal("expected out-of-frames error")
 	}
-	var any uint64
-	for f := range seen {
-		any = f
-		break
-	}
-	a.Free(any)
-	f, err := a.Alloc()
-	if err != nil || f != any {
-		t.Fatalf("LIFO reuse failed: %#x %v", f, err)
-	}
-	if a.Allocated() != 16 {
-		t.Fatalf("allocated = %d", a.Allocated())
-	}
-}
-
-func TestFrameAllocatorInvalidFreePanics(t *testing.T) {
-	a := NewFrameAllocator(0, 4*PageSize)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	a.Free(8 * PageSize)
 }

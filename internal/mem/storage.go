@@ -115,10 +115,6 @@ func (s *Storage) DropRange(base, size uint64) {
 	}
 }
 
-// MaterializedPages returns how many pages are currently backed, a proxy
-// for simulator memory footprint.
-func (s *Storage) MaterializedPages() int { return len(s.pages) }
-
 // CloneRange returns a new Storage holding deep copies of s's
 // materialized pages inside [base, base+size). Pages outside the range
 // are absent from the clone; the range must be page-aligned.

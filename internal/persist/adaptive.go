@@ -61,9 +61,6 @@ func NewAdaptiveProsper(cfg AdaptiveConfig) Factory {
 // Name implements Mechanism.
 func (a *AdaptiveProsper) Name() string { return "prosper-adaptive" }
 
-// Gran returns the currently selected tracking granularity.
-func (a *AdaptiveProsper) Gran() uint64 { return a.state.MSRs.Gran }
-
 // Checkpoint implements Mechanism: run the normal Prosper checkpoint,
 // then adjust granularity from the interval's dirty density.
 func (a *AdaptiveProsper) Checkpoint(done func(Result)) {

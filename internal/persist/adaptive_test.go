@@ -28,8 +28,8 @@ func adaptiveCheckpoint(t *testing.T, env *Env, mech *AdaptiveProsper) Result {
 
 func TestAdaptiveStartsAtMinGran(t *testing.T) {
 	_, _, mech := adaptiveEnv(t)
-	if mech.Gran() != 8 {
-		t.Fatalf("initial gran = %d", mech.Gran())
+	if mech.state.MSRs.Gran != 8 {
+		t.Fatalf("initial gran = %d", mech.state.MSRs.Gran)
 	}
 }
 
@@ -43,8 +43,8 @@ func TestAdaptiveEscalatesOnDenseIntervals(t *testing.T) {
 		}
 		adaptiveCheckpoint(t, env, mech)
 	}
-	if mech.Gran() <= 8 {
-		t.Fatalf("gran = %d after dense intervals, expected escalation", mech.Gran())
+	if mech.state.MSRs.Gran <= 8 {
+		t.Fatalf("gran = %d after dense intervals, expected escalation", mech.state.MSRs.Gran)
 	}
 	if mech.Counters.Get("adaptive.escalations") == 0 {
 		t.Fatal("no escalations counted")
@@ -61,7 +61,7 @@ func TestAdaptiveRefinesBackOnSparseIntervals(t *testing.T) {
 		}
 		adaptiveCheckpoint(t, env, mech)
 	}
-	escalated := mech.Gran()
+	escalated := mech.state.MSRs.Gran
 	if escalated <= 8 {
 		t.Fatalf("escalation did not happen (gran=%d)", escalated)
 	}
@@ -72,8 +72,8 @@ func TestAdaptiveRefinesBackOnSparseIntervals(t *testing.T) {
 		}
 		adaptiveCheckpoint(t, env, mech)
 	}
-	if mech.Gran() >= escalated {
-		t.Fatalf("gran = %d did not refine from %d on sparse intervals", mech.Gran(), escalated)
+	if mech.state.MSRs.Gran >= escalated {
+		t.Fatalf("gran = %d did not refine from %d on sparse intervals", mech.state.MSRs.Gran, escalated)
 	}
 }
 
@@ -86,8 +86,8 @@ func TestAdaptiveRespectsBounds(t *testing.T) {
 		}
 		adaptiveCheckpoint(t, env, mech)
 	}
-	if mech.Gran() > 4096 {
-		t.Fatalf("gran = %d beyond MaxGran", mech.Gran())
+	if mech.state.MSRs.Gran > 4096 {
+		t.Fatalf("gran = %d beyond MaxGran", mech.state.MSRs.Gran)
 	}
 }
 
@@ -114,9 +114,9 @@ func TestAdaptiveCorrectnessAcrossGranChanges(t *testing.T) {
 
 func TestAdaptiveIdleIntervalKeepsGran(t *testing.T) {
 	env, _, mech := adaptiveEnv(t)
-	before := mech.Gran()
+	before := mech.state.MSRs.Gran
 	adaptiveCheckpoint(t, env, mech) // nothing dirty
-	if mech.Gran() != before {
+	if mech.state.MSRs.Gran != before {
 		t.Fatal("idle interval changed granularity")
 	}
 }

@@ -108,9 +108,6 @@ func (a *Attrib) Switch(c Cause) {
 	a.since = now
 }
 
-// Active reports whether an epoch is open.
-func (a *Attrib) Active() bool { return a != nil && a.active }
-
 // End closes the epoch, charging the tail to the active cause, and
 // returns the per-cause cycle totals.
 func (a *Attrib) End() [NumCauses]uint64 {

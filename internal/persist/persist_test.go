@@ -13,6 +13,16 @@ import (
 	"prosper/internal/vm"
 )
 
+// dropMappings clears every translation in [lo, hi), modelling the empty
+// page tables of a fresh boot after a crash.
+func dropMappings(as *vm.AddressSpace, lo, hi uint64) {
+	for va := mem.PageOf(lo); va < hi; va += mem.PageSize {
+		if pte := as.PT.Lookup(va); pte != nil {
+			*pte = vm.PTE{}
+		}
+	}
+}
+
 const (
 	segLo = uint64(0x7000_0000)
 	segHi = uint64(0x7008_0000) // 512 KiB segment
@@ -352,7 +362,7 @@ func TestProsperRecoveryRestoresCheckpointedState(t *testing.T) {
 
 	// Crash: drop DRAM (and the mapping state of a fresh boot).
 	env.Mach.Crash()
-	env.AS.ReleaseRange(seg.Lo, seg.Hi)
+	dropMappings(env.AS, seg.Lo, seg.Hi)
 	for _, c := range env.Mach.Cores {
 		c.TLB.Flush()
 	}
@@ -383,7 +393,7 @@ func TestProsperRecoveryReappliesTornApply(t *testing.T) {
 	env.Mach.Storage.Write(seg.ImageBase+0x6000, []byte("GARBAGEGARBA"))
 	env.Mach.Storage.WriteU64(seg.MetaBase+metaPhase, phaseTempValid)
 	env.Mach.Crash()
-	env.AS.ReleaseRange(seg.Lo, seg.Hi)
+	dropMappings(env.AS, seg.Lo, seg.Hi)
 
 	done := false
 	p.Recover(func() { done = true })
@@ -418,7 +428,7 @@ func TestProsperCheckpointRecoveryProperty(t *testing.T) {
 		checkpointSync(env, core, mech)
 
 		env.Mach.Crash()
-		env.AS.ReleaseRange(seg.Lo, seg.Hi)
+		dropMappings(env.AS, seg.Lo, seg.Hi)
 		ok := false
 		mech.Recover(func() { ok = true })
 		runUntilFlag(env, &ok)

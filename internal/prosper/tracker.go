@@ -388,13 +388,6 @@ func (t *Tracker) FlushAndWait(done func()) {
 	t.eng.Schedule(sim.CompProsper, 0, poll)
 }
 
-// TouchedRange returns the lowest and highest tracked byte touched during
-// the interval — the "maximum active stack region" the hardware shares
-// with the OS so bitmap inspection and clearing can be bounded.
-func (t *Tracker) TouchedRange() (lo, hi uint64, any bool) {
-	return t.touchedLo, t.touchedHi, t.anyTouched
-}
-
 // WidenTouched extends the touched range to cover [lo, hi); the OS uses
 // it when it records dirty granules on the tracker's behalf (inter-thread
 // stack writes taking the fault path of Section III-C).

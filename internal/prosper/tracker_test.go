@@ -465,3 +465,10 @@ func BenchmarkObserveStore(b *testing.B) {
 	}
 	eng.Run()
 }
+
+// TouchedRange returns the lowest and highest tracked byte touched during
+// the interval — the "maximum active stack region" the hardware shares
+// with the OS so bitmap inspection and clearing can be bounded.
+func (t *Tracker) TouchedRange() (lo, hi uint64, any bool) {
+	return t.touchedLo, t.touchedHi, t.anyTouched
+}

@@ -13,7 +13,6 @@
 package runner
 
 import (
-	"prosper/internal/hostprof"
 	"prosper/internal/journey"
 	"prosper/internal/kernel"
 	"prosper/internal/machine"
@@ -76,10 +75,9 @@ type Spec struct {
 	SampleEvery sim.Time
 
 	// Profile enables per-component event-owner accounting on the run's
-	// engine (sim.Profile with the hostprof clock). The resulting
-	// EventCounts are deterministic; EventNanos is host wall time and
-	// informational. Off by default: the unprofiled dispatch path is the
-	// one the allocation ratchet pins.
+	// engine (sim.Profile). The resulting EventCounts are deterministic.
+	// Off by default: the unprofiled dispatch path is the one the
+	// allocation ratchet pins.
 	Profile bool
 
 	// Journey, when non-nil, samples end-to-end access journeys during
@@ -179,12 +177,10 @@ type RunStats struct {
 	// deterministic compare set.
 	EventsFired uint64
 
-	// EventCounts/EventNanos decompose the run's dispatched events by
-	// owning component (only populated when Spec.Profile is set).
-	// EventCounts is deterministic and sums exactly to EventsFired;
-	// EventNanos is batched host wall time, informational only.
+	// EventCounts decomposes the run's dispatched events by owning
+	// component (only populated when Spec.Profile is set). It is
+	// deterministic and sums exactly to EventsFired.
 	EventCounts [sim.NumComponents]uint64
-	EventNanos  [sim.NumComponents]int64
 }
 
 // IPC returns the user-mode instructions-per-cycle of the run.
@@ -226,7 +222,7 @@ func (sp Spec) boot() (*kernel.Kernel, *sim.Profile) {
 	if sp.Profile {
 		// kernel.New schedules events but fires none, so enabling here
 		// keeps the per-component counts summing exactly to Eng.Fired().
-		prof = k.Eng.EnableProfiling(hostprof.Nanotime)
+		prof = k.Eng.EnableProfiling(nil)
 	}
 	return k, prof
 }
@@ -335,9 +331,7 @@ func (sp Spec) collect(k *kernel.Kernel, p *kernel.Process, prof *sim.Profile, b
 	res.SimEnd = k.Eng.Now()
 	res.EventsFired = k.Eng.Fired()
 	if prof != nil {
-		snap := prof.Snapshot()
-		res.EventCounts = snap.Counts
-		res.EventNanos = snap.Nanos
+		res.EventCounts = prof.Snapshot().Counts
 	}
 	return res
 }

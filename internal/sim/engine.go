@@ -123,14 +123,8 @@ func KeyedBind(comp Component, key uint64, fn func(uint64), arg uint64) Done {
 	return Done{afn: fn, arg: arg, comp: comp, key: key}
 }
 
-// Component returns the owner declared when the token was built.
-func (d Done) Component() Component { return d.comp }
-
 // Key returns the token's resume identity (0 when none was declared).
 func (d Done) Key() uint64 { return d.key }
-
-// Arg returns the bound argument (0 for plain-callback tokens).
-func (d Done) Arg() uint64 { return d.arg }
 
 // WithArg returns a copy of the token with its bound argument replaced;
 // the snapshot subsystem uses it to rehydrate serialized (key, arg)
@@ -185,9 +179,6 @@ func (e *Engine) Now() Time { return e.now }
 // Fired returns the total number of events executed so far, useful as a
 // progress and determinism check.
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // ScheduleSeq returns the sequence number the next scheduled event will
 // receive. Because seq is the same-cycle tiebreaker and every Schedule/At
@@ -279,6 +270,8 @@ func (e *Engine) PendingKeys() []PendingKey {
 // naming the leftover count and the next due timestamp. Tests use it to
 // prove a simulation wound down completely instead of abandoning queued
 // work (e.g. the runner's per-spec engines after a measured window).
+//
+//prosperlint:ignore deadcode runner.TestEngineDrains uses it to prove an engine wound down
 func (e *Engine) AssertDrained() error {
 	if len(e.queue) == 0 {
 		return nil

@@ -15,7 +15,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrTruncated reports a read past the end of the buffer.
@@ -35,9 +34,6 @@ func NewWriter() *Writer { return &Writer{} }
 
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -66,9 +62,6 @@ func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
 
 // Int appends an int as a signed 64-bit value.
 func (w *Writer) Int(v int) { w.I64(int64(v)) }
-
-// F64 appends a float64 by its IEEE-754 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bytes8 appends a 64-bit length prefix followed by the raw bytes.
 func (w *Writer) Bytes8(b []byte) {
@@ -107,14 +100,6 @@ func (r *Reader) Remaining() int {
 		return 0
 	}
 	return len(r.data) - r.off
-}
-
-// Fail records err (if none is recorded yet) and returns it.
-func (r *Reader) Fail(err error) error {
-	if r.err == nil {
-		r.err = err
-	}
-	return r.err
 }
 
 func (r *Reader) take(n int) []byte {
@@ -165,9 +150,6 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Int reads an int encoded as a signed 64-bit value.
 func (r *Reader) Int() int { return int(r.I64()) }
-
-// F64 reads a float64 from its IEEE-754 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
 // Bytes8 reads a 64-bit length-prefixed byte string. The returned slice
 // aliases the reader's buffer; callers that retain it must copy.

@@ -40,8 +40,9 @@ const Magic = uint64(0x3150414e534f5250)
 // Version is the current snapshot format version. Resume refuses any
 // other version: the encoding has no compatibility shims — a snapshot is
 // a same-binary, same-configuration artifact, and silent cross-version
-// decoding would corrupt state instead of failing loudly.
-const Version = uint32(1)
+// decoding would corrupt state instead of failing loudly. Version 2
+// dropped the frame allocators' free lists and allocated counts.
+const Version = uint32(2)
 
 // Section ids, in their required file order.
 const (

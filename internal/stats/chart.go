@@ -25,13 +25,6 @@ func NewChart(title, unit string) *Chart {
 	return &Chart{Title: title, Unit: unit, width: 48}
 }
 
-// SetWidth overrides the maximum bar width in characters.
-func (c *Chart) SetWidth(w int) {
-	if w > 0 {
-		c.width = w
-	}
-}
-
 // Add appends one bar. Negative values are clamped to zero.
 func (c *Chart) Add(label string, value float64) {
 	if value < 0 {

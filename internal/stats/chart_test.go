@@ -7,7 +7,7 @@ import (
 
 func TestChartRendersBarsProportionally(t *testing.T) {
 	c := NewChart("Demo", "x")
-	c.SetWidth(10)
+	c.width = 10
 	c.Add("big", 10)
 	c.Add("half", 5)
 	c.Add("zero", 0)
@@ -29,7 +29,7 @@ func TestChartRendersBarsProportionally(t *testing.T) {
 
 func TestChartTinyValueVisible(t *testing.T) {
 	c := NewChart("", "")
-	c.SetWidth(20)
+	c.width = 20
 	c.Add("huge", 1000)
 	c.Add("tiny", 0.01)
 	out := c.String()
@@ -43,7 +43,7 @@ func TestChartTinyValueVisible(t *testing.T) {
 func TestChartNegativeClamped(t *testing.T) {
 	c := NewChart("", "")
 	c.Add("neg", -5)
-	if c.NumRows() != 1 || strings.Contains(c.String(), "#") {
+	if len(c.rows) != 1 || strings.Contains(c.String(), "#") {
 		t.Fatal("negative value not clamped")
 	}
 }
@@ -54,8 +54,8 @@ func TestChartFromTable(t *testing.T) {
 	tb.AddRow("a", "ssp", 3.0)
 	tb.AddRow("a", "romulus", "n/a") // unparsable: skipped
 	ch := ChartFromTable(tb, "Fig", "x", "norm", "bench", "mech")
-	if ch.NumRows() != 2 {
-		t.Fatalf("rows = %d", ch.NumRows())
+	if len(ch.rows) != 2 {
+		t.Fatalf("rows = %d", len(ch.rows))
 	}
 	out := ch.String()
 	if !strings.Contains(out, "a/prosper") || !strings.Contains(out, "a/ssp") {
@@ -67,7 +67,7 @@ func TestChartFromTableMissingColumn(t *testing.T) {
 	tb := NewTable("fig", "x")
 	tb.AddRow("v")
 	ch := ChartFromTable(tb, "t", "", "nope", "x")
-	if ch.NumRows() != 0 {
+	if len(ch.rows) != 0 {
 		t.Fatal("chart built from missing column")
 	}
 }

@@ -74,14 +74,6 @@ func (h *Histogram) Max() uint64 {
 	return h.max
 }
 
-// Mean returns the arithmetic mean, or zero when empty.
-func (h *Histogram) Mean() float64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // BucketUpper returns the inclusive upper edge of bucket i: 0 for
 // bucket 0, 2^i - 1 otherwise.
 func BucketUpper(i int) uint64 {
@@ -130,44 +122,6 @@ func (h *Histogram) Quantile(q float64) uint64 {
 		}
 	}
 	return h.max
-}
-
-// Merge adds other's samples into h. Merging is associative and
-// commutative: any grouping of Merge calls yields the same state as
-// observing every sample into one histogram. No-op when either side is
-// nil.
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil || other.count == 0 {
-		return
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for i, n := range other.buckets {
-		h.buckets[i] += n
-	}
-	h.count += other.count
-	h.sum += other.sum
-}
-
-// Reset clears all samples.
-func (h *Histogram) Reset() {
-	if h == nil {
-		return
-	}
-	*h = Histogram{}
-}
-
-// Snapshot returns a copy of the histogram (nil-safe; an empty copy for
-// a nil receiver).
-func (h *Histogram) Snapshot() Histogram {
-	if h == nil {
-		return Histogram{}
-	}
-	return *h
 }
 
 // String renders the non-empty buckets one per line, for debugging.
@@ -233,14 +187,4 @@ func (hs *Histograms) Names() []string {
 	out := make([]string, len(hs.order))
 	copy(out, hs.order)
 	return out
-}
-
-// Reset clears every histogram but keeps registrations.
-func (hs *Histograms) Reset() {
-	if hs == nil {
-		return
-	}
-	for _, h := range hs.byName {
-		h.Reset()
-	}
 }

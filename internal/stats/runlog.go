@@ -61,31 +61,3 @@ func (l *RunLog) Record(r RunRecord) {
 	}
 	fmt.Fprintf(l.w, "  run %-44s %12d cycles  %7.3fs%s\n", r.Name, r.SimCycles, r.Wall.Seconds(), rate)
 }
-
-// Records returns a copy of the records collected so far, in completion
-// order.
-func (l *RunLog) Records() []RunRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]RunRecord, len(l.recs))
-	copy(out, l.recs)
-	return out
-}
-
-// Summary renders the collected records as a table plus a totals row:
-// the cumulative simulated cycles and the cumulative wall time across
-// runs (which exceeds elapsed wall time when runs execute in parallel).
-func (l *RunLog) Summary() *Table {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	tb := NewTable("Run log (completion order)", "run", "sim_cycles", "wall_seconds")
-	var cycles int64
-	var wall time.Duration
-	for _, r := range l.recs {
-		tb.AddRow(r.Name, r.SimCycles, r.Wall.Seconds())
-		cycles += r.SimCycles
-		wall += r.Wall
-	}
-	tb.AddRow("TOTAL", cycles, wall.Seconds())
-	return tb
-}

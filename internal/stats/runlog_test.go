@@ -14,7 +14,7 @@ func TestRunLogStreamsAndSummarizes(t *testing.T) {
 	l.Record(RunRecord{Name: "fig8/gapbs_pr/base", SimCycles: 600_000, Wall: 20 * time.Millisecond})
 	l.Record(RunRecord{Name: "fig8/gapbs_pr/prosper", SimCycles: 300_000, Wall: 10 * time.Millisecond})
 
-	if n := len(l.Records()); n != 2 {
+	if n := len(l.recs); n != 2 {
 		t.Fatalf("records = %d", n)
 	}
 	out := buf.String()
@@ -42,7 +42,25 @@ func TestRunLogConcurrentRecords(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := len(l.Records()); n != 32 {
+	if n := len(l.recs); n != 32 {
 		t.Fatalf("records = %d, want 32", n)
 	}
+}
+
+// Summary renders the collected records as a table plus a totals row:
+// the cumulative simulated cycles and the cumulative wall time across
+// runs (which exceeds elapsed wall time when runs execute in parallel).
+func (l *RunLog) Summary() *Table {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	tb := NewTable("Run log (completion order)", "run", "sim_cycles", "wall_seconds")
+	var cycles int64
+	var wall time.Duration
+	for _, r := range l.recs {
+		tb.AddRow(r.Name, r.SimCycles, r.Wall.Seconds())
+		cycles += r.SimCycles
+		wall += r.Wall
+	}
+	tb.AddRow("TOTAL", cycles, wall.Seconds())
+	return tb
 }

@@ -32,12 +32,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *Table) NumRows() int { return len(t.rows) }
-
-// Rows returns the formatted cell contents.
-func (t *Table) Rows() [][]string { return t.rows }
-
 func formatFloat(v float64) string {
 	switch {
 	case v == 0:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 
 	"prosper/internal/stats"
 )
@@ -62,7 +61,7 @@ func (r *Registry) Register(prefix string, c *stats.Counters) {
 // RegisterHistograms adopts a histogram set under the prefix. Each
 // histogram expands to fixed integer summary scalars —
 // "prefix.<name>.count/sum/min/max/p50/p95/p99" — in sorted histogram
-// name order, so DumpStats and DumpStatsJSON stay byte-deterministic.
+// name order, so DumpStats stays byte-deterministic.
 // A nil set is ignored.
 func (r *Registry) RegisterHistograms(prefix string, h *stats.Histograms) {
 	if h == nil {
@@ -130,26 +129,4 @@ func (r *Registry) WriteText(w io.Writer) {
 		fmt.Fprintf(bw, "%s %d\n", n, v)
 	})
 	bw.Flush()
-}
-
-// WriteJSON renders one flat JSON object with keys in Each order (the
-// serializer is hand-rolled so key order — and therefore the bytes —
-// stay deterministic).
-func (r *Registry) WriteJSON(w io.Writer, extra func(emit func(name string, v uint64))) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString("{")
-	first := true
-	emit := func(n string, v uint64) {
-		if !first {
-			bw.WriteString(",")
-		}
-		first = false
-		fmt.Fprintf(bw, "\n%s:%d", strconv.Quote(n), v)
-	}
-	r.Each(emit)
-	if extra != nil {
-		extra(emit)
-	}
-	bw.WriteString("\n}\n")
-	return bw.Flush()
 }

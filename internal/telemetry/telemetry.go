@@ -234,22 +234,6 @@ func (t *Tracer) SnapshotMetrics(r *Registry) {
 	t.snaps = append(t.snaps, metricsSnap{cycle: t.now(), names: names, values: values})
 }
 
-// Events returns how many trace events the tracer holds (tests).
-func (t *Tracer) Events() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.events)
-}
-
-// Snapshots returns how many metrics snapshots the tracer holds (tests).
-func (t *Tracer) Snapshots() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.snaps)
-}
-
 // Trace is the top-level collection: one Tracer per simulation run, each
 // rendered as its own process lane ("pid") in Perfetto. NewTracer is
 // safe for concurrent use; recording into a Tracer is single-run-local.

@@ -103,9 +103,6 @@ func checkVA(vaddr uint64) {
 	}
 }
 
-// Mapped returns the number of present leaf mappings.
-func (pt *PageTable) Mapped() int { return pt.mapped }
-
 // Map installs a translation from the page containing vaddr to frame with
 // the given flags (FlagPresent is implied).
 func (pt *PageTable) Map(vaddr, frame, flags uint64) {
@@ -125,19 +122,6 @@ func (pt *PageTable) Map(vaddr, frame, flags uint64) {
 	*pte = PTE{Frame: frame &^ 0xfff, Flags: flags | FlagPresent}
 }
 
-// Unmap removes the translation for the page containing vaddr and returns
-// the frame it mapped, or ok=false if nothing was mapped.
-func (pt *PageTable) Unmap(vaddr uint64) (frame uint64, ok bool) {
-	pte := pt.Lookup(vaddr)
-	if pte == nil || !pte.Present() {
-		return 0, false
-	}
-	frame = pte.Frame
-	*pte = PTE{}
-	pt.mapped--
-	return frame, true
-}
-
 // Lookup returns a pointer to the PTE for vaddr, or nil if no leaf table
 // exists on its path. The entry may be non-present.
 func (pt *PageTable) Lookup(vaddr uint64) *PTE {
@@ -150,27 +134,6 @@ func (pt *PageTable) Lookup(vaddr uint64) *PTE {
 		}
 	}
 	return &n.ptes[indexAt(vaddr, levels-1)]
-}
-
-// WalkAddrs returns the physical addresses of the 4 table entries a
-// hardware walker would read to translate vaddr (whether or not the
-// translation exists at every level — missing levels are omitted).
-func (pt *PageTable) WalkAddrs(vaddr uint64) []uint64 {
-	checkVA(vaddr)
-	addrs := make([]uint64, 0, levels)
-	n := pt.root
-	for level := 0; level < levels; level++ {
-		idx := indexAt(vaddr, level)
-		addrs = append(addrs, n.physBase+uint64(idx)*8)
-		if level == levels-1 {
-			break
-		}
-		n = n.children[idx]
-		if n == nil {
-			break
-		}
-	}
-	return addrs
 }
 
 // WalkAddrsInto is the allocation-free variant of WalkAddrs for the hot

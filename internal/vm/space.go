@@ -48,9 +48,6 @@ type VMA struct {
 // Contains reports whether addr falls inside the area.
 func (v *VMA) Contains(addr uint64) bool { return addr >= v.Lo && addr < v.Hi }
 
-// Size returns the area's length in bytes.
-func (v *VMA) Size() uint64 { return v.Hi - v.Lo }
-
 // AddressSpace is a process's virtual address space: an ordered VMA list
 // over a private page table, with frame pools for hybrid memory.
 type AddressSpace struct {
@@ -121,20 +118,9 @@ func (as *AddressSpace) FindVMA(addr uint64) *VMA {
 // stack expansion heuristics allow for large stack frames).
 const guardWindow = 128 << 10
 
-// VMAs returns the areas in ascending address order.
-func (as *AddressSpace) VMAs() []*VMA { return as.vmas }
-
-// StackVMA returns the stack area of the given thread, or nil.
-func (as *AddressSpace) StackVMA(threadID int) *VMA {
-	for _, v := range as.vmas {
-		if v.Kind == KindStack && v.ThreadID == threadID {
-			return v
-		}
-	}
-	return nil
-}
-
 // DemandFaults returns how many demand-paging faults were serviced.
+//
+//prosperlint:ignore deadcode machine.TestCoreDemandFaultCharged and kernel.TestStackAndHeapActuallyWritten count faults with it
 func (as *AddressSpace) DemandFaults() int { return as.demandFaults }
 
 // WriteFaults returns how many write-permission faults were serviced.
@@ -209,19 +195,6 @@ func (as *AddressSpace) EnsureRange(lo, hi uint64) {
 		}
 		if _, err := as.HandleFault(va, false); err != nil {
 			panic(err.Error())
-		}
-	}
-}
-
-// ReleaseRange unmaps [lo, hi) and returns frames to their pools.
-func (as *AddressSpace) ReleaseRange(lo, hi uint64) {
-	for va := mem.PageOf(lo); va < hi; va += mem.PageSize {
-		if frame, ok := as.PT.Unmap(va); ok {
-			if as.nvm != nil && as.nvm.Contains(frame) {
-				as.nvm.Free(frame)
-			} else {
-				as.dram.Free(frame)
-			}
 		}
 	}
 }

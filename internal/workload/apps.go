@@ -168,7 +168,7 @@ func SpecLeela() AppParams {
 
 // NewApp builds the generator for an application model.
 func NewApp(p AppParams) Program {
-	return NewProgram(p.Name, func(g *G) {
+	return NewProgram(func(g *G) {
 		// Main function frame: hot locals + scatter regions + the sparse
 		// buffer.
 		sparseBytes := uint64(p.SparsePages) * 4096

@@ -24,7 +24,7 @@ func scriptedOp(rng *sim.Rand, ctx Context) Op {
 
 // scriptedProgram emits n scripted ops and returns.
 func scriptedProgram(n int) Program {
-	return NewProgram("scripted", func(g *G) {
+	return NewProgram(func(g *G) {
 		for i := 0; i < n; i++ {
 			op := scriptedOp(g.Rng, g.Ctx)
 			switch op.Kind {

@@ -30,9 +30,6 @@ func NewCounter(iterations int) *CounterProgram {
 	return &CounterProgram{Iterations: iterations, PerIterOps: 4}
 }
 
-// Name implements Program.
-func (c *CounterProgram) Name() string { return "counter" }
-
 // Start implements Program.
 func (c *CounterProgram) Start(ctx Context) {
 	c.ctx = ctx

@@ -37,7 +37,7 @@ func (p MicroParams) withDefaults() MicroParams {
 // ("Random" in Table III — the average case for Prosper).
 func NewRandom(p MicroParams) Program {
 	p = p.withDefaults()
-	return NewProgram("random", func(g *G) {
+	return NewProgram(func(g *G) {
 		frame := p.ArrayBytes + 64
 		base := g.Call(frame)
 		for {
@@ -55,7 +55,7 @@ func NewRandom(p MicroParams) Program {
 // tracking cannot shrink the checkpoint).
 func NewStream(p MicroParams) Program {
 	p = p.withDefaults()
-	return NewProgram("stream", func(g *G) {
+	return NewProgram(func(g *G) {
 		frame := p.ArrayBytes + 64
 		base := g.Call(frame)
 		for {
@@ -72,7 +72,7 @@ func NewStream(p MicroParams) Program {
 // tracking copies 1024x more than needed).
 func NewSparse(p MicroParams) Program {
 	p = p.withDefaults()
-	return NewProgram("sparse", func(g *G) {
+	return NewProgram(func(g *G) {
 		pages := p.ArrayBytes / 4096
 		if pages == 0 {
 			pages = 1
@@ -102,7 +102,7 @@ func NewQuicksort(elems int) Program {
 	if elems <= 0 {
 		elems = 4096
 	}
-	return NewProgram("quicksort", func(g *G) {
+	return NewProgram(func(g *G) {
 		keys := make([]uint64, elems)
 		addr := func(i int) uint64 { return g.Ctx.HeapLo + uint64(i)*8 }
 		reset := func() {
@@ -155,7 +155,7 @@ func NewRecursive(depth int) Program {
 	if depth <= 0 {
 		depth = 8
 	}
-	return NewProgram("recursive", func(g *G) {
+	return NewProgram(func(g *G) {
 		var rec func(d int)
 		rec = func(d int) {
 			const frame = 256
@@ -180,7 +180,7 @@ func NewRecursive(depth int) Program {
 // normal distribution with mean 63 and stddev 20, between compute blocks
 // of one thousand register increments ("Normal" in Table III).
 func NewNormal() Program {
-	return newDistributed("normal", func(g *G) int {
+	return newDistributed(func(g *G) int {
 		n := int(g.Rng.Normal(63, 20) + 0.5)
 		if n < 0 {
 			n = 0
@@ -191,11 +191,11 @@ func NewNormal() Program {
 
 // NewPoisson is NewNormal with a Poisson(63) count ("Poisson").
 func NewPoisson() Program {
-	return newDistributed("poisson", func(g *G) int { return g.Rng.Poisson(63) })
+	return newDistributed(func(g *G) int { return g.Rng.Poisson(63) })
 }
 
-func newDistributed(name string, draw func(*G) int) Program {
-	return NewProgram(name, func(g *G) {
+func newDistributed(draw func(*G) int) Program {
+	return NewProgram(func(g *G) {
 		const arrayBytes = 32 << 10
 		base := g.Call(arrayBytes + 64)
 		for {

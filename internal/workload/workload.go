@@ -51,7 +51,6 @@ type Context struct {
 
 // Program is a runnable instruction stream.
 type Program interface {
-	Name() string
 	// Start initializes the program; it must be called exactly once
 	// before the first Next.
 	Start(ctx Context)
@@ -97,9 +96,6 @@ type G struct {
 	stop    chan struct{} //prosperlint:ignore concurrency stop signal: closed exactly once by Close to unwind the producer
 	stopped bool
 }
-
-// SP returns the current simulated stack pointer.
-func (g *G) SP() uint64 { return g.sp }
 
 func (g *G) send(op Op) {
 	op.SP = g.sp
@@ -165,7 +161,6 @@ func (g *G) LoadLocal(off uint64, size int32) { g.Load(g.sp+off, size) }
 // genProgram adapts a generator body into a Program. The body runs in its
 // own goroutine; when it returns, the program emits End forever.
 type genProgram struct {
-	name string
 	body func(*G)
 	g    *G
 	cur  []Op // batch being consumed
@@ -176,11 +171,9 @@ type genProgram struct {
 // NewProgram builds a Program from a generator body. The body receives a
 // ready G and emits operations until it returns (or forever for steady-
 // state workloads, which are terminated by Close).
-func NewProgram(name string, body func(*G)) Program {
-	return &genProgram{name: name, body: body}
+func NewProgram(body func(*G)) Program {
+	return &genProgram{body: body}
 }
-
-func (p *genProgram) Name() string { return p.name }
 
 func (p *genProgram) Start(ctx Context) {
 	if p.g != nil {

@@ -68,18 +68,21 @@ func validateOps(t *testing.T, ops []Op) (stackOps, heapOps, stores int) {
 }
 
 func TestMicroBenchmarksProduceValidOps(t *testing.T) {
-	progs := []Program{
-		NewRandom(MicroParams{}),
-		NewStream(MicroParams{}),
-		NewSparse(MicroParams{}),
-		NewQuicksort(256),
-		NewRecursive(8),
-		NewNormal(),
-		NewPoisson(),
+	progs := []struct {
+		name string
+		p    Program
+	}{
+		{"random", NewRandom(MicroParams{})},
+		{"stream", NewStream(MicroParams{})},
+		{"sparse", NewSparse(MicroParams{})},
+		{"quicksort", NewQuicksort(256)},
+		{"recursive", NewRecursive(8)},
+		{"normal", NewNormal()},
+		{"poisson", NewPoisson()},
 	}
-	for _, p := range progs {
-		p := p
-		t.Run(p.Name(), func(t *testing.T) {
+	for _, tc := range progs {
+		p := tc.p
+		t.Run(tc.name, func(t *testing.T) {
 			ops := runOps(t, p, 20000)
 			if len(ops) < 1000 {
 				t.Fatalf("only %d ops generated", len(ops))
@@ -269,7 +272,7 @@ func TestCounterSnapshotRestore(t *testing.T) {
 }
 
 func TestEndAfterBodyReturns(t *testing.T) {
-	p := NewProgram("finite", func(g *G) {
+	p := NewProgram(func(g *G) {
 		g.Store(g.Ctx.HeapLo, 8)
 	})
 	p.Start(testCtx())
@@ -285,12 +288,12 @@ func TestEndAfterBodyReturns(t *testing.T) {
 }
 
 func TestCallRetBalance(t *testing.T) {
-	p := NewProgram("callret", func(g *G) {
-		start := g.SP()
+	p := NewProgram(func(g *G) {
+		start := g.sp
 		g.Call(128)
 		g.StoreLocal(8, 8)
 		g.Ret(128)
-		if g.SP() != start {
+		if g.sp != start {
 			panic("unbalanced")
 		}
 		g.Compute(1)

@@ -129,16 +129,20 @@ func TestMechanismStrings(t *testing.T) {
 }
 
 func TestWorkloadConstructors(t *testing.T) {
-	for _, w := range []Workload{
-		NewGapbsPR(), NewG500SSSP(), NewYcsbMem(),
-		NewRandomWorkload(), NewStreamWorkload(), NewSparseWorkload(),
-		NewQuicksortWorkload(64), NewRecursiveWorkload(4),
+	for _, tc := range []struct {
+		name string
+		w    Workload
+	}{
+		{"gapbs_pr", NewGapbsPR()}, {"g500_sssp", NewG500SSSP()}, {"ycsb_mem", NewYcsbMem()},
+		{"random", NewRandomWorkload()}, {"stream", NewStreamWorkload()}, {"sparse", NewSparseWorkload()},
+		{"quicksort", NewQuicksortWorkload(64)}, {"recursive", NewRecursiveWorkload(4)},
 	} {
+		name, w := tc.name, tc.w
 		sys := NewSystem(SystemConfig{Cores: 1})
-		proc := sys.Launch(ProcessSpec{Name: w.Name(), HeapSize: 4 << 20}, w)
+		proc := sys.Launch(ProcessSpec{Name: name, HeapSize: 4 << 20}, w)
 		sys.Run(50 * Microsecond)
 		if proc.Inner().Threads[0].UserOps == 0 {
-			t.Fatalf("%s: no ops executed", w.Name())
+			t.Fatalf("%s: no ops executed", name)
 		}
 		proc.Shutdown()
 	}
